@@ -1,17 +1,26 @@
-.PHONY: install test unit test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-baseline bench-check examples figures lint clean
+.PHONY: install test unit deprecation-ratchet test-parallel obs-smoke audit-smoke alerts-check trace-smoke serve-smoke bench bench-index bench-mega bench-serve-scaling bench-baseline bench-check examples figures lint clean
 
 install:
 	pip install -e '.[test]'
 
-# Default gate: lint, the tier-1 suite, and the instrumented smoke runs
-# (obs stack, audit/explain round-trip, SLO alert CI gate, trace export
-# + flamegraph round trip, serving front-end round trip).
-test: lint unit obs-smoke audit-smoke alerts-check trace-smoke serve-smoke
+# Default gate: lint, the tier-1 suite, the deprecation ratchet and the
+# instrumented smoke runs (obs stack, audit/explain round-trip, SLO alert
+# CI gate, trace export + flamegraph round trip, serving front-end round
+# trip).
+test: lint unit deprecation-ratchet obs-smoke audit-smoke alerts-check trace-smoke serve-smoke
 
 # Mirrors the tier-1 verify command: works from a clean checkout with no
 # editable install (PYTHONPATH picks up src/).
 unit:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
+
+# No library code or test under core/besteffs/serve may reach a deprecated
+# API: any DeprecationWarning there is an error.  The experiment
+# run(**kwargs) shims are still exercised by tests/experiments and
+# tests/integration, which stay outside the ratchet.
+deprecation-ratchet:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
+		tests/core tests/besteffs tests/serve -W error::DeprecationWarning
 
 # The run-spec/parallel-executor surface: RunSpec unit tests, CLI
 # --jobs/sweep coverage, obs merge semantics, and the jobs-parity

@@ -4,10 +4,12 @@ The paper's related-work section adopts the idea of "grouping objects
 that expire together" for cheap deletion.  This microbenchmark compares
 frequent expiry sweeps over a store holding many small objects:
 
-* **linear** — ``StorageUnit.reclaim_expired`` scans every resident per
-  sweep (O(residents));
-* **indexed** — :class:`~repro.core.expiry_index.IndexedSweeper` touches
-  only the due buckets (O(expired + buckets)).
+* **linear** — a store on the test suite's scan-everything reference
+  index, whose ``reclaim_expired`` checks every resident per sweep
+  (O(residents));
+* **indexed** — ``StorageUnit.reclaim_expired`` on the importance index,
+  whose expired phase holds exactly the residents that crossed their
+  expiry breakpoint (O(expired log residents)).
 
 Both must reclaim exactly the same objects; the bench asserts the
 equivalence and reports the sweep-cost ratio.
@@ -16,19 +18,19 @@ equivalence and reports the sweep-cost ratio.
 import time
 
 from benchmarks.conftest import run_once
-from repro.core.expiry_index import IndexedSweeper
 from repro.core.importance import FixedLifetimeImportance
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
 from repro.units import days, gib, mib
 from repro.core.obj import StoredObject
+from tests.reference_index import reference_unit
 
 N_OBJECTS = 4000
 SWEEP_EVERY = days(1)
 HORIZON = days(120)
 
 
-def populate(store, note=None):
+def populate(store):
     for i in range(N_OBJECTS):
         obj = StoredObject(
             size=mib(1),
@@ -39,23 +41,17 @@ def populate(store, note=None):
             object_id=f"o{i}",
         )
         assert store.offer(obj, 0.0).admitted
-        if note is not None:
-            note(obj)
 
 
 def run_comparison():
-    # indexed=False keeps this arm an honest full scan now that stores
-    # carry the importance index by default.
-    linear_store = StorageUnit(
-        gib(8), TemporalImportancePolicy(), name="linear", keep_history=False,
-        indexed=False,
+    linear_store = reference_unit(
+        gib(8), TemporalImportancePolicy(), name="linear", keep_history=False
     )
     populate(linear_store)
     indexed_store = StorageUnit(
         gib(8), TemporalImportancePolicy(), name="indexed", keep_history=False
     )
-    sweeper = IndexedSweeper(indexed_store, bucket_minutes=days(1))
-    populate(indexed_store, note=sweeper.note_admitted)
+    populate(indexed_store)
 
     linear_removed, indexed_removed = [], []
     t_linear = t_indexed = 0.0
@@ -68,7 +64,9 @@ def run_comparison():
         t_linear += time.perf_counter() - start
 
         start = time.perf_counter()
-        indexed_removed.extend(r.obj.object_id for r in sweeper.sweep(now))
+        indexed_removed.extend(
+            r.obj.object_id for r in indexed_store.reclaim_expired(now)
+        )
         t_indexed += time.perf_counter() - start
         now += SWEEP_EVERY
 
@@ -89,7 +87,7 @@ def test_ablation_expiry_index(benchmark, save_artifact):
     assert len(result["linear_removed"]) == N_OBJECTS  # everything expires
     assert result["residents_after"] == 0
 
-    # The bucketed sweep beats the linear scan clearly at this shape
+    # The indexed sweep beats the linear scan clearly at this shape
     # (many residents, frequent sweeps).
     assert result["t_indexed"] < result["t_linear"]
 

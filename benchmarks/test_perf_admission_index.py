@@ -1,14 +1,14 @@
 """Perf bench: admission planning with and without the importance index.
 
 The naive admission planner sorts *every* resident by importance on each
-pressured offer — O(n log n) per admission.  The importance index keeps
-residents bucketed by annotation phase and walks the ascending
-constant-``p`` buckets only until the candidate byte total covers the
-deficit, then sorts just that tail.  This bench fills a store to capacity
-with ``n`` constant-phase residents at varied importances and times a
-fixed burst of preempting offers against twin naive/indexed stores,
-asserting that the two paths evict the exact same victims and that the
-index delivers at least a 5x speedup at 50k residents.
+pressured offer — O(n log n) per admission.  The importance index groups
+residents by annotation and merges the group heads lazily, evaluating
+keys only until the victims cover the deficit.  This bench fills a store
+to capacity with ``n`` constant-phase residents at varied importances and
+times a fixed burst of preempting offers against twin stores — one on the
+scan-everything reference index from the test suite, one on the real
+index — asserting that the two paths evict the exact same victims and
+that the index delivers at least a 5x speedup at 50k residents.
 
 Wall-clock renders differ on every run, so the artifact is saved with
 ``checksum=False`` and only the module timing is baselined.
@@ -21,6 +21,7 @@ from repro.core.importance import TwoStepImportance
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
+from tests.reference_index import reference_unit
 
 #: Residents never leave the constant phase during the bench.
 PERSIST = 1.0e9
@@ -29,12 +30,11 @@ INCOMING_SIZE = 5
 
 
 def _filled_store(n: int, *, indexed: bool) -> StorageUnit:
-    store = StorageUnit(
+    store = (StorageUnit if indexed else reference_unit)(
         n,
         TemporalImportancePolicy(),
         name=f"{'idx' if indexed else 'naive'}-{n}",
         keep_history=False,
-        indexed=indexed,
     )
     for i in range(n):
         # 101 distinct importance levels spread over [0.2, 0.9].
@@ -92,7 +92,7 @@ def test_perf_admission_index(benchmark, save_artifact):
 
     # The acceptance bar: >= 5x over the naive full sort at 50k residents.
     assert results[50_000]["speedup"] >= 5.0
-    # The advantage must grow with n (O(n log n) vs bucket-walk planning).
+    # The advantage must grow with n (O(n log n) vs merge-head planning).
     assert results[50_000]["speedup"] > results[10_000]["speedup"] * 0.5
 
     lines = [

@@ -54,13 +54,13 @@ def main() -> None:
     # Individual instruments are queryable directly.
     events = registry.get("engine_events_total")
     admissions = registry.get("store_admissions_total")
-    scans = registry.get("store_reclaim_scan_length")
+    depths = registry.get("store_preemption_depth")
     unit = "disk-80g-temporal-importance"
     print(f"arrivals dispatched:  {events.value(label='arrival'):.0f}")
     print(f"offers admitted:      {admissions.value(unit=unit, outcome='admitted'):.0f}")
     print(f"offers rejected:      {admissions.value(unit=unit, outcome='rejected'):.0f}")
-    snap = scans.snapshot(unit=unit)
-    print(f"reclaim scans:        {snap['count']} (mean length {snap['mean']:.1f})")
+    snap = depths.snapshot(unit=unit)
+    print(f"admissions planned:   {snap['count']} (mean victims {snap['mean']:.1f})")
     print()
 
     print("lifecycle log records:")

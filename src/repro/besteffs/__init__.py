@@ -35,7 +35,7 @@ from repro.besteffs.fairness import (
     annotation_cost,
     importance_integral,
 )
-from repro.besteffs.gateway import BesteffsGateway, StoreOutcome
+from repro.besteffs.gateway import BesteffsGateway
 
 __all__ = [
     "AuthError",
@@ -54,7 +54,6 @@ __all__ = [
     "Overlay",
     "PlacementConfig",
     "PlacementDecision",
-    "StoreOutcome",
     "VersionRecord",
     "VersionedNamespace",
     "annotation_cost",

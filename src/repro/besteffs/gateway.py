@@ -17,21 +17,18 @@ The request surface is the frozen protocol of :mod:`repro.serve.protocol`:
 :class:`~repro.serve.protocol.StoreRequest` and returns a
 :class:`~repro.serve.protocol.StoreResponse`, which is what the async
 service (:mod:`repro.serve.service`), load generator and CLI speak.  The
-historical ``store(capability, obj, now)`` call survives as a deprecated
-shim over ``handle`` and the per-gate counters live in ``repro.obs``
-(``gateway_refusals_total{gate=...}``) with the old ``refusals`` dict kept
-as a read-only view.
+per-gate counters live in ``repro.obs`` (``gateway_refusals_total{gate=...}``)
+with the old ``refusals`` dict kept as a read-only view.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from repro.besteffs.auth import AuthError, Capability, CapabilityRealm
+from repro.besteffs.auth import AuthError, CapabilityRealm
 from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.fairness import (
     FairnessError,
@@ -39,28 +36,11 @@ from repro.besteffs.fairness import (
     annotation_cost,
     importance_integral,
 )
-from repro.besteffs.placement import PlacementDecision
 from repro.core.obj import StoredObject
 from repro.obs import STATE as _OBS
 from repro.serve.protocol import StoreRequest, StoreResponse, StoreStatus
 
-__all__ = ["StoreOutcome", "BesteffsGateway"]
-
-
-@dataclass(frozen=True)
-class StoreOutcome:
-    """Result of one gateway store request (legacy surface).
-
-    Retained for the deprecated :meth:`BesteffsGateway.store` shim; new
-    code reads the richer :class:`~repro.serve.protocol.StoreResponse`.
-    """
-
-    stored: bool
-    #: Which gate refused, if any: "auth" | "fairness" | "placement".
-    refused_by: str | None
-    detail: str
-    decision: PlacementDecision | None = None
-    cost_charged: float = 0.0
+__all__ = ["BesteffsGateway"]
 
 
 @dataclass
@@ -278,16 +258,3 @@ class BesteffsGateway:
             return None
         period = self.ledger.period_minutes
         return period - (now % period)
-
-    def store(
-        self, capability: Capability, obj: StoredObject, now: float
-    ) -> StoreOutcome:
-        """Deprecated: use :meth:`handle` with a :class:`StoreRequest`."""
-        warnings.warn(
-            "BesteffsGateway.store(capability, obj, now) is deprecated; build a "
-            "repro.serve.protocol.StoreRequest and call BesteffsGateway.handle()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = StoreRequest(capability=capability, obj=obj)
-        return self.handle(request, now=now).to_outcome()

@@ -86,8 +86,11 @@ def plan_preemptive_admission(
         return AdmissionPlan(admit=True, reason="free-space")
 
     needed = obj.size - free
-    index = getattr(store, "importance_index", None) if order is importance_order else None
-    merged = index.greedy_victims(now, needed) if index is not None else None
+    merged = (
+        store.importance_index.greedy_victims(now, needed)
+        if order is importance_order
+        else None
+    )
     if merged is not None:
         # Lazy k-way merge over the expired stream, statically ordered
         # annotation groups and integer-grid superfamilies: only merge heads
@@ -100,13 +103,9 @@ def plan_preemptive_admission(
             # stores whose accounting was corrupted externally.
             return AdmissionPlan(admit=False, reason="insufficient-space")
     else:
-        # Either the store has no index, or the merge declined (superfamily
-        # exactness not guaranteed at this now): sort candidates instead.
-        if index is not None:
-            candidates: Iterable[StoredObject] = index.victim_candidates(now, needed)
-        else:
-            candidates = store.iter_residents()
-        ordered = order(candidates, now)
+        # An ablation order, or the merge declined (superfamily exactness
+        # not guaranteed at this now): sort every resident.
+        ordered = order(store.iter_residents(), now)
         victims = []
         freed = 0
         for resident in ordered:

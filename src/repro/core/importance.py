@@ -109,7 +109,7 @@ class ImportanceFunction(ABC):
         not yet expired), ``importance_at(a)`` returns *exactly*
         :attr:`initial_importance` — the invariant
         :class:`repro.core.index.ImportanceIndex` relies on to keep an
-        object in a constant-importance bucket without re-evaluating ``L``.
+        object in its constant phase without re-evaluating ``L``.
         The default of ``0.0`` is always safe (the index then treats the
         object as waning from the start, recomputing importance on demand);
         subclasses widen it where their shape guarantees it.

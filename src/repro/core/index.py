@@ -1,4 +1,4 @@
-"""Incremental importance index: phase buckets + closed-form density mass.
+"""Incremental importance index: phase sets + closed-form density mass.
 
 The paper's temporal importance functions are *structured*: every resident
 is, at any instant, in exactly one of three phases —
@@ -13,8 +13,7 @@ Phase membership only changes at an object's two breakpoints, so instead of
 re-sorting all residents per pressured arrival (``plan_preemptive_admission``)
 and rescanning them per density probe, :class:`ImportanceIndex` keeps
 
-* a dict bucket per distinct constant importance ``p`` with a per-bucket
-  byte total, a waning set and an expired set;
+* each resident's phase, plus the waning set and the expired set;
 * a min-heap of upcoming phase-transition times; :meth:`advance` pops only
   the objects that crossed a breakpoint since the last call (amortised
   O(log n) per resident per lifetime — each object transitions at most
@@ -23,11 +22,11 @@ and rescanning them per density probe, :class:`ImportanceIndex` keeps
   available in O(waning) exactly, or O(dynamic) via the closed form
   ``C + A - B * t``.
 
-Victim selection walks buckets in increasing ``p`` and stops as soon as the
-accumulated candidate bytes cover the space deficit, then sorts only that
-candidate tail with the exact paper ordering.  The result is provably the
-same greedy prefix the naive full sort produces (see docs/performance.md
-for the argument), so plans — and therefore artifacts — are byte-identical.
+Victim selection is a lazy k-way merge over statically ordered resident
+groups (:mod:`repro.core.victims`) fed by the expired phase.  The result is
+provably the same greedy prefix the naive full sort produces (see
+docs/performance.md for the argument), so plans — and therefore artifacts —
+are byte-identical.
 
 Floating-point discipline
 -------------------------
@@ -38,7 +37,7 @@ The index is held to *bit-exact* agreement with the naive path:
   object is re-classified against the same predicates
   (``is_expired_at`` / age vs ``stable_until``) the naive path evaluates,
   and re-armed one ulp ahead when the predicate has not flipped yet.  After
-  :meth:`advance`, every resident's bucket matches its predicate phase at
+  :meth:`advance`, every resident's phase matches its predicate phase at
   ``now``.
 * The exact mass keeps constant-phase terms as a Shewchuk non-overlapping
   expansion (the ``math.fsum`` trick, made incremental): adding or removing
@@ -184,12 +183,12 @@ class DensityAccumulator:
 
 
 class ImportanceIndex:
-    """Residents bucketed by annotation phase, advanced lazily in time.
+    """Residents partitioned by annotation phase, advanced lazily in time.
 
     The index mirrors a :class:`~repro.core.store.StorageUnit`'s resident
     set: the store calls :meth:`add` on admission and :meth:`discard` on any
     eviction, and read paths call :meth:`advance` (directly or via the
-    probe methods) before trusting bucket membership.  Time may regress
+    probe methods) before trusting phase membership.  Time may regress
     (tests probe stores at arbitrary instants); the index then rebuilds
     from scratch rather than guessing.
     """
@@ -201,13 +200,7 @@ class ImportanceIndex:
         self._obj: dict[ObjectId, StoredObject] = {}
         self._phase: dict[ObjectId, str] = {}
         self._seq_of: dict[ObjectId, int] = {}
-        # Constant phase: one dict bucket per distinct initial importance.
-        self._bucket_of: dict[ObjectId, float] = {}
-        self._buckets: dict[float, dict[ObjectId, StoredObject]] = {}
-        self._bucket_bytes: dict[float, int] = {}
-        self._bucket_keys: list[float] = []
-        self._keys_dirty = False
-        # Waning / expired phases.
+        # Waning / expired phases (constant-phase objects are the rest).
         self._waning: dict[ObjectId, StoredObject] = {}
         self._dynamic: dict[ObjectId, StoredObject] = {}  # non-linear wanes
         self._expired: dict[ObjectId, StoredObject] = {}
@@ -215,8 +208,6 @@ class ImportanceIndex:
         #: victim order among expired objects (all share the key
         #: ``(0.0, 0.0)``), fed to the grouped merge as one ready stream.
         self._expired_sorted: list[tuple[float, ObjectId, StoredObject]] = []
-        self._expired_bytes = 0
-        self._waning_bytes = 0
         # Pending breakpoints: (scheduled time, admission seq, id).  Entries
         # are invalidated lazily — a popped entry whose seq no longer
         # matches the live object is skipped.
@@ -244,7 +235,7 @@ class ImportanceIndex:
 
     @property
     def constant_count(self) -> int:
-        return len(self._bucket_of)
+        return len(self._obj) - len(self._waning) - len(self._expired)
 
     @property
     def waning_count(self) -> int:
@@ -253,10 +244,6 @@ class ImportanceIndex:
     @property
     def expired_count(self) -> int:
         return len(self._expired)
-
-    @property
-    def expired_bytes(self) -> int:
-        return self._expired_bytes
 
     # -- classification ----------------------------------------------------
 
@@ -309,21 +296,11 @@ class ImportanceIndex:
         self._phase[oid] = phase
         if phase == PHASE_CONSTANT:
             p = obj.lifetime.initial_importance
-            self._bucket_of[oid] = p
-            bucket = self._buckets.get(p)
-            if bucket is None:
-                self._buckets[p] = {oid: obj}
-                self._bucket_bytes[p] = obj.size
-                self._keys_dirty = True
-            else:
-                bucket[oid] = obj
-                self._bucket_bytes[p] += obj.size
             if p > 0.0:
                 self.accumulator.add_constant(oid, p * obj.size)
             self._arm(oid, self._stable_end_abs(obj), now)
         elif phase == PHASE_WANING:
             self._waning[oid] = obj
-            self._waning_bytes += obj.size
             coeffs = obj.lifetime.wane_coefficients()
             if coeffs is None:
                 self._dynamic[oid] = obj
@@ -336,7 +313,6 @@ class ImportanceIndex:
             self._arm(oid, self._expire_sched_abs(obj), now)
         else:
             self._expired[oid] = obj
-            self._expired_bytes += obj.size
             entry = (obj.t_arrival, oid, obj)
             stream = self._expired_sorted
             if not stream or (stream[-1][0], stream[-1][1]) < (entry[0], entry[1]):
@@ -347,18 +323,13 @@ class ImportanceIndex:
     def _remove_from_phase(self, oid: ObjectId, obj: StoredObject) -> str:
         phase = self._phase.pop(oid)
         if phase == PHASE_CONSTANT:
-            p = self._bucket_of.pop(oid)
-            del self._buckets[p][oid]
-            self._bucket_bytes[p] -= obj.size
             self.accumulator.remove_constant(oid)
         elif phase == PHASE_WANING:
             del self._waning[oid]
-            self._waning_bytes -= obj.size
             if self._dynamic.pop(oid, None) is None:
                 self.accumulator.remove_linear(oid)
         else:
             del self._expired[oid]
-            self._expired_bytes -= obj.size
             stream = self._expired_sorted
             i = bisect_left(stream, (obj.t_arrival, oid))
             if i >= len(stream) or stream[i][1] != oid:
@@ -378,7 +349,7 @@ class ImportanceIndex:
     def advance(self, now: float) -> None:
         """Process every breakpoint at or before ``now``.
 
-        Afterwards each tracked object's bucket equals its predicate phase
+        Afterwards each tracked object's phase equals its predicate phase
         at ``now``.  A regressing clock triggers a full rebuild.
         """
         if now < self._now:
@@ -409,17 +380,10 @@ class ImportanceIndex:
         objs = self._obj
         self.accumulator = DensityAccumulator()
         self._phase.clear()
-        self._bucket_of.clear()
-        self._buckets.clear()
-        self._bucket_bytes.clear()
-        self._bucket_keys = []
-        self._keys_dirty = False
         self._waning.clear()
         self._dynamic.clear()
         self._expired.clear()
         self._expired_sorted = []
-        self._expired_bytes = 0
-        self._waning_bytes = 0
         self._heap = []
         self._now = now
         # Time regressed: previously-skipped "expired prefixes" inside the
@@ -429,41 +393,6 @@ class ImportanceIndex:
             self._place(oid, obj, self._classify(obj, now), now)
 
     # -- read paths --------------------------------------------------------
-
-    def _sorted_keys(self) -> list[float]:
-        if self._keys_dirty:
-            for p in [p for p, members in self._buckets.items() if not members]:
-                del self._buckets[p]
-                del self._bucket_bytes[p]
-            self._bucket_keys = sorted(self._buckets)
-            self._keys_dirty = False
-        return self._bucket_keys
-
-    def victim_candidates(self, now: float, needed: int) -> list[StoredObject]:
-        """A superset of the naive greedy victim prefix for ``needed`` bytes.
-
-        All expired and waning residents plus ascending constant buckets
-        until expired + constant candidate bytes cover ``needed``.  Every
-        excluded resident has constant importance strictly above the last
-        included bucket, and the included sub-``p`` mass already covers the
-        deficit, so the greedy prefix of the exact ordering never reaches
-        an excluded object — sorting just these candidates reproduces the
-        full-sort plan bit for bit.
-        """
-        self.advance(now)
-        out = list(self._expired.values())
-        out.extend(self._waning.values())
-        freed = self._expired_bytes
-        if freed < needed:
-            for p in self._sorted_keys():
-                members = self._buckets.get(p)
-                if not members:
-                    continue
-                out.extend(members.values())
-                freed += self._bucket_bytes[p]
-                if freed >= needed:
-                    break
-        return out
 
     def greedy_victims(
         self, now: float, needed: int
@@ -477,8 +406,8 @@ class ImportanceIndex:
         for merge heads, returning ``(victims, highest, freed)`` with the
         victims in exact paper order.  Returns None when superfamily
         exactness cannot be guaranteed at this ``now`` (non-integer time or
-        time before a family member's arrival) — callers fall back to the
-        candidates-plus-sort path.
+        time before a family member's arrival) — callers fall back to
+        sorting every resident.
         """
         self.advance(now)
         return self.groups.greedy_victims(
@@ -516,28 +445,19 @@ class ImportanceIndex:
     def check(self, now: float) -> bool:
         """Verify every structural invariant at ``now`` (test helper)."""
         self.advance(now)
-        n = len(self._bucket_of) + len(self._waning) + len(self._expired)
-        if n != len(self._obj) or n != len(self._phase) or n != len(self._seq_of):
-            raise ReproError("index phase sets do not partition the tracked objects")
-        bucket_members = sum(len(m) for m in self._buckets.values())
-        if bucket_members != len(self._bucket_of):
-            raise ReproError("constant bucket membership is inconsistent")
+        n = len(self._obj)
+        if n != len(self._phase) or n != len(self._seq_of):
+            raise ReproError("index phase map does not cover the tracked objects")
+        for phase, members in ((PHASE_WANING, self._waning), (PHASE_EXPIRED, self._expired)):
+            if members.keys() != {oid for oid, ph in self._phase.items() if ph == phase}:
+                raise ReproError(f"the {phase} set disagrees with the phase map")
         for oid, obj in self._obj.items():
             phase = self._phase[oid]
             if phase != self._classify(obj, now):
-                raise ReproError(f"{oid!r} is bucketed as {phase} but classifies otherwise")
+                raise ReproError(f"{oid!r} is tracked as {phase} but classifies otherwise")
             if phase == PHASE_CONSTANT:
-                p = self._bucket_of[oid]
-                if obj.lifetime.initial_importance != p or oid not in self._buckets[p]:
-                    raise ReproError(f"{oid!r} is in the wrong constant bucket")
-                if obj.importance_at(now) != p:
+                if obj.importance_at(now) != obj.lifetime.initial_importance:
                     raise ReproError(f"{oid!r} importance drifted inside its constant phase")
-        for p, members in self._buckets.items():
-            total = sum(o.size for o in members.values())
-            if total != self._bucket_bytes[p]:
-                raise ReproError(f"bucket {p} byte total is stale")
-        if self._expired_bytes != sum(o.size for o in self._expired.values()):
-            raise ReproError("expired byte total is stale")
         stream = self._expired_sorted
         if len(stream) != len(self._expired) or any(
             stream[i][:2] >= stream[i + 1][:2] for i in range(len(stream) - 1)
@@ -545,6 +465,4 @@ class ImportanceIndex:
             raise ReproError("expired stream is out of sync with the expired set")
         if any(oid not in self._expired for _, oid, _obj in stream):
             raise ReproError("expired stream holds a non-expired object")
-        if self._waning_bytes != sum(o.size for o in self._waning.values()):
-            raise ReproError("waning byte total is stale")
         return True

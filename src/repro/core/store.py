@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 from repro.core.index import ImportanceIndex
 from repro.core.obj import ObjectId, StoredObject
 from repro.core.policy import AdmissionPlan, EvictionPolicy
-from repro.core.slab import ResidentSlab
 from repro.errors import CapacityError, UnknownObjectError
 from repro.obs import COUNT_BUCKETS, STATE as _OBS
 
@@ -28,23 +27,7 @@ __all__ = [
     "AdmissionResult",
     "StorageUnit",
     "StoreStats",
-    "DEFAULT_INDEXED",
-    "DEFAULT_LAYOUT",
 ]
-
-#: Default for ``StorageUnit(indexed=...)`` when the caller passes None.
-#: The importance index is behaviour-preserving (plans, evictions and
-#: densities are bit-identical to the naive path), so it is on everywhere;
-#: differential tests flip this module global to run the naive reference
-#: oracle without threading a parameter through every scenario builder.
-DEFAULT_INDEXED = True
-
-#: Default for ``StorageUnit(layout=...)`` when the caller passes None.
-#: ``"slab"`` mirrors the scalar per-resident state into flat array
-#: columns (:class:`~repro.core.slab.ResidentSlab`) that aggregate probes
-#: read instead of walking objects; ``"dict"`` is the object-only
-#: reference path the differential suite runs as the oracle.
-DEFAULT_LAYOUT = "slab"
 
 
 @dataclass(frozen=True)
@@ -149,20 +132,10 @@ class StorageUnit:
         in :attr:`evictions` / :attr:`rejections`.  Long multi-year
         simulations with external recorders can disable retention and rely
         on the ``on_eviction`` / ``on_rejection`` callbacks instead.
-    indexed:
-        When True, maintain an :class:`~repro.core.index.ImportanceIndex`
-        over the residents: admission planning sorts only a candidate tail
-        and density probes stop scanning every resident, with bit-identical
-        results.  ``None`` (default) follows the module-level
-        :data:`DEFAULT_INDEXED`; pass False to force the naive reference
-        path (the differential-test oracle).
-    layout:
-        ``"slab"`` additionally mirrors scalar per-resident state into
-        flat array columns (:class:`~repro.core.slab.ResidentSlab`) so
-        aggregate probes (per-creator byte tallies, expiry sweeps) scan
-        arrays instead of objects; ``"dict"`` keeps only the object dict
-        (the differential oracle).  ``None`` (default) follows
-        :data:`DEFAULT_LAYOUT`.  Results are bit-identical either way.
+
+    Every unit keeps an :class:`~repro.core.index.ImportanceIndex` over its
+    residents: it answers the greedy victim prefix, the density mass and
+    the expired set without scanning every resident.
     """
 
     def __init__(
@@ -172,8 +145,6 @@ class StorageUnit:
         *,
         name: str = "unit-0",
         keep_history: bool = True,
-        indexed: bool | None = None,
-        layout: str | None = None,
     ) -> None:
         if not isinstance(capacity_bytes, int) or capacity_bytes <= 0:
             raise CapacityError(f"capacity must be a positive int, got {capacity_bytes!r}")
@@ -181,24 +152,14 @@ class StorageUnit:
         self.policy = policy
         self.name = name
         self.keep_history = keep_history
-        if indexed is None:
-            indexed = DEFAULT_INDEXED
-        if layout is None:
-            layout = DEFAULT_LAYOUT
-        if layout not in ("slab", "dict"):
-            raise CapacityError(f"layout must be 'slab' or 'dict', got {layout!r}")
-        self.layout = layout
-        #: Phase-bucketed resident index, or None on the naive path.
-        self.importance_index: ImportanceIndex | None = (
-            ImportanceIndex() if indexed else None
-        )
-        #: Array-column mirror of the residents, or None on the dict path.
-        self.resident_slab: ResidentSlab | None = (
-            ResidentSlab() if layout == "slab" else None
-        )
+        #: The resident index: victim prefix, density mass and expired set.
+        self.importance_index = ImportanceIndex()
 
         self._residents: dict[ObjectId, StoredObject] = {}
         self._used_bytes = 0
+        #: Resident bytes per creator, in first-admission order; a creator
+        #: whose residents all left keeps a zero entry.
+        self._creator_bytes: dict[str, int] = {}
         #: Last access time per resident, for recency-based baselines.
         self._last_access: dict[ObjectId, float] = {}
 
@@ -258,18 +219,12 @@ class StorageUnit:
         return self._last_access[object_id]
 
     def bytes_by_creator(self) -> dict[str, int]:
-        """Resident bytes per creator class.
+        """Resident bytes per creator class, skipping empty classes.
 
-        Served from the slab's incrementally maintained totals when the
-        layout is ``"slab"`` (O(#creators)); the dict layout scans the
-        residents.  Both return identical totals (integer sums).
+        O(#creators): served from totals that admission and eviction
+        maintain incrementally.
         """
-        if self.resident_slab is not None:
-            return self.resident_slab.bytes_by_creator()
-        out: dict[str, int] = {}
-        for obj in self._residents.values():
-            out[obj.creator] = out.get(obj.creator, 0) + obj.size
-        return out
+        return {creator: total for creator, total in self._creator_bytes.items() if total}
 
     def utilization(self) -> float:
         """Fraction of raw capacity occupied, in ``[0, 1]``."""
@@ -331,7 +286,7 @@ class StorageUnit:
             if self.on_rejection is not None:
                 self.on_rejection(rejection)
             if _OBS.enabled:
-                self._obs_offer(admitted=False, plan=plan, scanned=0, now=now)
+                self._obs_offer(admitted=False, plan=plan, now=now)
             if ledger is not None and ledger.wants(obj.object_id):
                 incoming = plan.incoming_importance
                 ledger.record(
@@ -346,7 +301,6 @@ class StorageUnit:
                 )
             return AdmissionResult(admitted=False, plan=plan, rejection=rejection)
 
-        scanned = len(self._residents) if plan.victims else 0
         if ledger is not None:
             # Pressure and the exact compared importance, captured *before*
             # any victim leaves — this is the context the plan was made in.
@@ -372,14 +326,12 @@ class StorageUnit:
         self._residents[obj.object_id] = obj
         self._used_bytes += obj.size
         self._last_access[obj.object_id] = now
-        if self.importance_index is not None:
-            self.importance_index.add(obj, now)
-        if self.resident_slab is not None:
-            self.resident_slab.add(obj)
+        self._creator_bytes[obj.creator] = self._creator_bytes.get(obj.creator, 0) + obj.size
+        self.importance_index.add(obj, now)
         self.accepted_count += 1
         self.bytes_accepted += obj.size
         if _OBS.enabled:
-            self._obs_offer(admitted=True, plan=plan, scanned=scanned, now=now)
+            self._obs_offer(admitted=True, plan=plan, now=now)
         if ledger is not None and ledger.wants(obj.object_id):
             ledger.record(
                 "admit",
@@ -426,32 +378,20 @@ class StorageUnit:
         The paper does *not* require this — expired objects may squat until
         preempted — but delete-optimised deployments (Douglis et al.) sweep
         eagerly, and experiments use this to measure squatting.
+
+        The index's expired phase already holds exactly the expired
+        residents, so only those are examined; they leave in admission
+        order.
         """
-        if self.importance_index is not None:
-            # The index already knows who expired; only those are examined
-            # (and in admission order, matching the naive scan's output).
-            expired = self.importance_index.expired_objects(now)
-            scanned = len(expired)
-        elif self.resident_slab is not None:
-            # Column scan over (t_arrival, t_expire); same predicate and
-            # same admission order as the object scan below.
-            scanned = len(self._residents)
-            expired = [
-                self._residents[oid]
-                for oid in self.resident_slab.expired_object_ids(now)
-            ]
-        else:
-            scanned = len(self._residents)
-            expired = [o for o in self._residents.values() if o.is_expired_at(now)]
+        expired = self.importance_index.expired_objects(now)
         records = tuple(self._evict(o, now, reason="expired", preempted_by=None) for o in expired)
         if _OBS.enabled:
             _OBS.registry.histogram(
                 "store_reclaim_scan_length",
-                "Residents examined per reclamation pass (admission planning or "
-                "expiry sweep).",
+                "Residents examined per expiry sweep.",
                 ("unit",),
                 buckets=COUNT_BUCKETS,
-            ).observe(scanned, unit=self.name)
+            ).observe(len(expired), unit=self.name)
         return records
 
     def _evict(
@@ -468,10 +408,8 @@ class StorageUnit:
         del self._residents[victim.object_id]
         self._last_access.pop(victim.object_id, None)
         self._used_bytes -= victim.size
-        if self.importance_index is not None:
-            self.importance_index.discard(victim.object_id)
-        if self.resident_slab is not None:
-            self.resident_slab.discard(victim.object_id)
+        self._creator_bytes[victim.creator] -= victim.size
+        self.importance_index.discard(victim.object_id)
         record = EvictionRecord(
             obj=victim,
             t_evicted=now,
@@ -510,9 +448,7 @@ class StorageUnit:
             self.on_eviction(record)
         return record
 
-    def _obs_offer(
-        self, *, admitted: bool, plan: AdmissionPlan, scanned: int, now: float
-    ) -> None:
+    def _obs_offer(self, *, admitted: bool, plan: AdmissionPlan, now: float) -> None:
         """Record admission-path metrics; called only when obs is enabled."""
         registry = _OBS.registry
         registry.counter(
@@ -532,14 +468,6 @@ class StorageUnit:
                 ("unit",),
                 buckets=COUNT_BUCKETS,
             ).observe(len(plan.victims), unit=self.name)
-            if plan.victims:
-                registry.histogram(
-                    "store_reclaim_scan_length",
-                    "Residents examined per reclamation pass (admission planning "
-                    "or expiry sweep).",
-                    ("unit",),
-                    buckets=COUNT_BUCKETS,
-                ).observe(scanned, unit=self.name)
         else:
             _OBS.logger.debug(
                 "store",

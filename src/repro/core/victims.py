@@ -54,7 +54,7 @@ enforced here:
   rounding — and the E-order argument holds in floats because it holds in
   the reals.  Queries at a non-integer ``now``, or at a ``now`` earlier
   than some family member's arrival (where the naive age clamp could
-  engage), return None and the caller falls back to the sort-based path.
+  engage), return None and the caller sorts every resident instead.
 * Head keys must equal what ``StoredObject.importance_at`` /
   ``remaining_lifetime_at`` return.  The specialised evaluators below
   replicate those call chains' float operations in the same order; the
@@ -452,8 +452,8 @@ class GroupedResidents:
         victim order and ``highest`` equal to ``max(importance_at(now))``
         over them (0.0 when empty); ``freed < needed`` signals the pool
         ran dry.  Returns None when superfamily exactness cannot be
-        guaranteed at this ``now`` — the caller must fall back to the
-        sort-based plan.
+        guaranteed at this ``now`` — the caller must sort every resident
+        instead.
         """
         now = float(now)
         if self._families and not (

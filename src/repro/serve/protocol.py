@@ -1,8 +1,6 @@
 """The frozen, transport-agnostic request/response protocol of the serving layer.
 
-The historical ``BesteffsGateway.store(capability, obj, now)`` tuple call
-and its bare :class:`~repro.besteffs.gateway.StoreOutcome` cannot express
-what a *served* store needs: queuing, shedding, retries, deadlines or
+A *served* store needs queuing, shedding, retries, deadlines and
 batching.  This module is the one surface the async service
 (:mod:`repro.serve.service`), the load generator
 (:mod:`repro.serve.loadgen`), the CLI and the metrics all speak:
@@ -21,10 +19,6 @@ Both sides are frozen dataclasses with canonical sorted-key dict forms
 carrying *simulation-time fields only* — no wall-clock — so a seeded
 closed-loop run writes a byte-identical request/response ledger across
 invocations (see :mod:`repro.serve.ledger`).
-
-The legacy ``gateway.store`` shim maps old→new via
-:meth:`StoreResponse.to_outcome` and emits a ``DeprecationWarning``,
-mirroring the ``RunSpec.from_kwargs`` migration pattern.
 """
 
 from __future__ import annotations
@@ -53,10 +47,10 @@ class ServeError(ReproError):
 class StoreStatus(str, enum.Enum):
     """Closed outcome taxonomy of one served store request.
 
-    The three ``REJECTED_*`` members map 1:1 onto the legacy
-    ``StoreOutcome.refused_by`` gates; ``SHED_BACKPRESSURE`` and
-    ``EXPIRED_IN_QUEUE`` are serving-layer outcomes the old API could not
-    express (the request never completed the write path at all).
+    The three ``REJECTED_*`` members map 1:1 onto the gateway's gates
+    (:attr:`StoreResponse.refused_by`); ``SHED_BACKPRESSURE`` and
+    ``EXPIRED_IN_QUEUE`` are serving-layer outcomes (the request never
+    completed the write path at all).
     """
 
     ADMITTED = "admitted"
@@ -164,7 +158,7 @@ class StoreResponse:
 
     @property
     def refused_by(self) -> str | None:
-        """Legacy gate name (``auth``/``fairness``/``placement``), if any."""
+        """Refusing gate name (``auth``/``fairness``/``placement``), if any."""
         gate = self.status.gate
         return gate if gate in ("auth", "fairness", "placement") else None
 
@@ -178,23 +172,3 @@ class StoreResponse:
             "cost_charged": self.cost_charged,
             "retry_after": self.retry_after,
         }
-
-    def to_outcome(self):
-        """Map onto the legacy :class:`~repro.besteffs.gateway.StoreOutcome`.
-
-        Serving-layer statuses (shed / expired) have no legacy gate; they
-        surface as un-stored outcomes with ``refused_by`` set to the
-        status value so callers of the shim still see *why*.
-        """
-        from repro.besteffs.gateway import StoreOutcome
-
-        refused_by = None
-        if self.status is not StoreStatus.ADMITTED:
-            refused_by = self.refused_by or self.status.value
-        return StoreOutcome(
-            stored=self.stored,
-            refused_by=refused_by,
-            detail=self.detail,
-            decision=self.decision,
-            cost_charged=self.cost_charged,
-        )

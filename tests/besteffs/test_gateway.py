@@ -8,6 +8,7 @@ from repro.besteffs.fairness import FairShareLedger, annotation_cost
 from repro.besteffs.gateway import BesteffsGateway
 from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import TwoStepImportance
+from repro.serve.protocol import StoreRequest
 from repro.units import days, gib
 from tests.conftest import make_obj
 
@@ -31,19 +32,19 @@ class TestWritePath:
     def test_happy_path_stores(self, gateway):
         gw, realm = gateway
         cap = realm.mint("camera-1")
-        outcome = gw.store(cap, make_obj(1.0), 0.0)
-        assert outcome.stored
-        assert outcome.refused_by is None
-        assert outcome.cost_charged > 0.0
-        assert outcome.decision is not None and outcome.decision.placed
+        response = gw.handle(StoreRequest(capability=cap, obj=make_obj(1.0)), now=0.0)
+        assert response.stored
+        assert response.refused_by is None
+        assert response.cost_charged > 0.0
+        assert response.decision is not None and response.decision.placed
 
     def test_auth_gate_fires_first(self, gateway):
         gw, realm = gateway
         cap = realm.mint("student", max_initial_importance=0.5)
         greedy = make_obj(1.0)  # initial importance 1.0
-        outcome = gw.store(cap, greedy, 0.0)
-        assert not outcome.stored
-        assert outcome.refused_by == "auth"
+        response = gw.handle(StoreRequest(capability=cap, obj=greedy), now=0.0)
+        assert not response.stored
+        assert response.refused_by == "auth"
         assert gw.refusals["auth"] == 1
         # Nothing was charged or stored.
         assert gw.ledger.spent("student", 0.0) == 0.0
@@ -53,10 +54,10 @@ class TestWritePath:
         gw, realm = gateway
         cap = realm.mint("camera-1")
         for _ in range(3):
-            assert gw.store(cap, make_obj(1.0), 0.0).stored
-        outcome = gw.store(cap, make_obj(1.0), 0.0)
-        assert not outcome.stored
-        assert outcome.refused_by == "fairness"
+            assert gw.handle(StoreRequest(capability=cap, obj=make_obj(1.0)), now=0.0).stored
+        response = gw.handle(StoreRequest(capability=cap, obj=make_obj(1.0)), now=0.0)
+        assert not response.stored
+        assert response.refused_by == "fairness"
         assert gw.refusals["fairness"] == 1
 
     def test_placement_refusal_refunds_budget(self, gateway):
@@ -65,12 +66,12 @@ class TestWritePath:
         big_ledger_cap = realm.mint("filler")
         gw.ledger.budget_per_period = annotation_cost(make_obj(1.0)) * 100
         for _ in range(8):
-            gw.store(big_ledger_cap, make_obj(1.0), 0.0)
+            gw.handle(StoreRequest(capability=big_ledger_cap, obj=make_obj(1.0)), now=0.0)
         spent_before = gw.ledger.spent("filler", 0.0)
-        outcome = gw.store(big_ledger_cap, make_obj(1.0), 0.0)
-        assert not outcome.stored
-        assert outcome.refused_by == "placement"
-        assert outcome.cost_charged == 0.0
+        response = gw.handle(StoreRequest(capability=big_ledger_cap, obj=make_obj(1.0)), now=0.0)
+        assert not response.stored
+        assert response.refused_by == "placement"
+        assert response.cost_charged == 0.0
         assert gw.ledger.spent("filler", 0.0) == pytest.approx(spent_before)
 
     def test_student_pegging_end_to_end(self, gateway):
@@ -79,5 +80,5 @@ class TestWritePath:
         pegged = make_obj(
             0.5, lifetime=TwoStepImportance(p=0.5, t_persist=days(7), t_wane=days(7))
         )
-        outcome = gw.store(student, pegged, 0.0)
-        assert outcome.stored
+        response = gw.handle(StoreRequest(capability=student, obj=pegged), now=0.0)
+        assert response.stored

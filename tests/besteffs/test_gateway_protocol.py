@@ -15,7 +15,7 @@ from repro import obs
 from repro.besteffs.auth import CapabilityRealm
 from repro.besteffs.cluster import BesteffsCluster
 from repro.besteffs.fairness import FairShareLedger, annotation_cost
-from repro.besteffs.gateway import BesteffsGateway, StoreOutcome
+from repro.besteffs.gateway import BesteffsGateway
 from repro.besteffs.placement import PlacementConfig
 from repro.core.importance import ConstantImportance
 from repro.serve.protocol import StoreRequest, StoreStatus
@@ -172,27 +172,6 @@ class TestRefusalCounters:
         gateway = build_gateway()
         self.trip_all_gates(gateway)
         assert len(obs.STATE.registry) == 0
-
-
-class TestDeprecatedStore:
-    def test_store_warns_and_delegates_to_handle(self):
-        gateway = build_gateway()
-        cap = gateway.realm.mint("camera-1")
-        with pytest.warns(DeprecationWarning, match="handle"):
-            outcome = gateway.store(cap, make_obj(1.0), 0.0)
-        assert isinstance(outcome, StoreOutcome)
-        assert outcome.stored
-        assert outcome.refused_by is None
-        assert outcome.decision is not None and outcome.decision.placed
-        assert outcome.cost_charged > 0.0
-
-    def test_store_maps_refusals_like_before(self):
-        gateway = build_gateway()
-        student = gateway.realm.mint("student", max_initial_importance=0.5)
-        with pytest.warns(DeprecationWarning):
-            outcome = gateway.store(student, make_obj(1.0), 0.0)
-        assert not outcome.stored
-        assert outcome.refused_by == "auth"
 
 
 class TestRefundBitExactness:

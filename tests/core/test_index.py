@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core.admission import importance_order
 from repro.core.importance import (
     ConstantImportance,
     DiracImportance,
@@ -214,47 +213,7 @@ class TestImportanceIndexPhases:
             index.add(two_step_obj("a", 10, t_arrival=0.0), 0.0)
 
 
-class TestVictimCandidates:
-    def test_candidates_reproduce_the_naive_greedy_prefix(self):
-        index = ImportanceIndex()
-        residents = []
-        for i, p in enumerate((0.1, 0.3, 0.3, 0.5, 0.9, 1.0)):
-            obj = StoredObject(
-                size=100,
-                t_arrival=float(i),
-                lifetime=FixedLifetimeImportance(p=p, expire_after=1000.0),
-                object_id=f"o{i}",
-            )
-            residents.append(obj)
-            index.add(obj, float(i))
-        needed = 250  # covered by the 0.1 + 0.3 + 0.3 buckets
-        candidates = index.victim_candidates(10.0, needed)
-        ids = {o.object_id for o in candidates}
-        assert {"o0", "o1", "o2"} <= ids
-        assert "o5" not in ids  # the 1.0 bucket is never touched
-        naive_prefix = []
-        freed = 0
-        for obj in importance_order(residents, 10.0):
-            if freed >= needed:
-                break
-            naive_prefix.append(obj.object_id)
-            freed += obj.size
-        indexed_prefix = []
-        freed = 0
-        for obj in importance_order(candidates, 10.0):
-            if freed >= needed:
-                break
-            indexed_prefix.append(obj.object_id)
-            freed += obj.size
-        assert indexed_prefix == naive_prefix
-
-    def test_expired_bytes_short_circuit_the_bucket_walk(self):
-        index = ImportanceIndex()
-        index.add(make_obj(1.0, lifetime=DiracImportance(), object_id="dead"), 0.0)
-        index.add(make_obj(1.0, lifetime=ConstantImportance(p=1.0), object_id="live"), 0.0)
-        candidates = index.victim_candidates(0.0, 10)
-        assert [o.object_id for o in candidates] == ["dead"]
-
+class TestExpiredObjects:
     def test_expired_objects_come_back_in_admission_order(self):
         index = ImportanceIndex()
         for oid, arrival in (("b", 5.0), ("a", 0.0), ("c", 10.0)):

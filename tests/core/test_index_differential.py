@@ -1,11 +1,13 @@
 """Differential testing: indexed stores must be bit-identical to naive ones.
 
-Twin :class:`StorageUnit` instances — one with the importance index, one on
-the naive reference path — are fed identical randomized workloads (mixed
-annotation shapes, expiries, preemption pressure, manual removals, expiry
-sweeps and density probes).  At every step the admission plans, eviction
-records, occupancy and densities must agree **exactly**: the index is an
-acceleration structure, never a behaviour change.
+Twin :class:`StorageUnit` instances — one with the importance index, one
+answering through the scan-everything :class:`~tests.reference_index.
+ReferenceIndex` — are fed identical randomized workloads (mixed annotation
+shapes, expiries, preemption pressure, manual removals, expiry sweeps and
+density probes).  At every step the admission plans, eviction records
+(expiry order included), occupancy, per-creator byte totals and densities
+must agree **exactly**: the index is an acceleration structure, never a
+behaviour change.
 """
 
 import math
@@ -27,8 +29,10 @@ from repro.core.importance import (
 from repro.core.obj import StoredObject
 from repro.core.policies.temporal import TemporalImportancePolicy
 from repro.core.store import StorageUnit
+from tests.reference_index import reference_unit
 
 CAPACITY = 50_000
+CREATORS = ("university", "student", "archive")
 
 
 def random_lifetime(rng: random.Random):
@@ -76,13 +80,21 @@ def assert_evictions_equal(naive, indexed, step):
         assert mine.t_evicted == theirs.t_evicted, f"step {step}"
 
 
-@pytest.mark.parametrize("seed", [1234, 777, 2026])
+def assert_twins_agree(naive, fast, step):
+    assert naive.used_bytes == fast.used_bytes, f"step {step}"
+    assert list(naive._residents) == list(fast._residents), f"step {step}"
+    # Both twins keep the same incremental tally, so pin it to a scan too.
+    scan = {}
+    for obj in naive.iter_residents():
+        scan[obj.creator] = scan.get(obj.creator, 0) + obj.size
+    assert naive.bytes_by_creator() == fast.bytes_by_creator() == scan, f"step {step}"
+
+
+@pytest.mark.parametrize("seed", [1234, 777, 2026, 11, 404])
 def test_randomized_workload_is_bit_identical(seed):
     rng = random.Random(seed)
-    naive = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="naive", indexed=False)
-    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast", indexed=True)
-    assert naive.importance_index is None
-    assert fast.importance_index is not None
+    naive = reference_unit(CAPACITY, TemporalImportancePolicy(), name="naive")
+    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast")
 
     now = 0.0
     for step in range(1500):
@@ -94,6 +106,7 @@ def test_randomized_workload_is_bit_identical(seed):
                 t_arrival=now,
                 lifetime=random_lifetime(rng),
                 object_id=f"o-{step}",
+                creator=CREATORS[step % len(CREATORS)],
             )
             plan_n = naive.peek_admission(obj, now)
             plan_f = fast.peek_admission(obj, now)
@@ -122,8 +135,7 @@ def test_randomized_workload_is_bit_identical(seed):
             d_closed = importance_density(fast, probe_t, closed_form=True)
             assert d_closed == pytest.approx(d_naive, rel=1e-9, abs=1e-9)
 
-        assert naive.used_bytes == fast.used_bytes, f"step {step}"
-        assert sorted(naive._residents) == sorted(fast._residents), f"step {step}"
+        assert_twins_agree(naive, fast, step)
         if step % 250 == 0:
             assert fast.importance_index.check(max(now, fast.importance_index._now))
 
@@ -172,8 +184,8 @@ def test_integer_grid_workload_is_bit_identical(seed):
     fallback — and must still match the naive scan bit for bit.
     """
     rng = random.Random(seed)
-    naive = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="naive", indexed=False)
-    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast", indexed=True)
+    naive = reference_unit(CAPACITY, TemporalImportancePolicy(), name="naive")
+    fast = StorageUnit(CAPACITY, TemporalImportancePolicy(), name="fast")
 
     now = 0.0
     for step in range(1200):
@@ -185,6 +197,7 @@ def test_integer_grid_workload_is_bit_identical(seed):
                 t_arrival=now,
                 lifetime=random_grid_lifetime(rng),
                 object_id=f"g-{step}",
+                creator=CREATORS[step % len(CREATORS)],
             )
             plan_n = naive.peek_admission(obj, now)
             plan_f = fast.peek_admission(obj, now)
@@ -205,7 +218,7 @@ def test_integer_grid_workload_is_bit_identical(seed):
             )
         else:
             assert importance_density(naive, now) == importance_density(fast, now)
-        assert naive.used_bytes == fast.used_bytes, f"step {step}"
+        assert_twins_agree(naive, fast, step)
         if step % 300 == 0:
             assert fast.importance_index.check(max(now, fast.importance_index._now))
     # The grid workload must actually have exercised the superfamily path.
@@ -256,8 +269,8 @@ def _linear_scan_threshold(store, probe_size, now):
 
 
 def test_indexed_and_naive_agree_on_an_empty_and_full_store():
-    for indexed in (False, True):
-        store = StorageUnit(1000, TemporalImportancePolicy(), indexed=indexed)
+    for make in (reference_unit, StorageUnit):
+        store = make(1000, TemporalImportancePolicy())
         assert importance_density(store, 0.0) == 0.0
         store.offer(
             StoredObject(

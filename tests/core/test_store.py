@@ -140,6 +140,25 @@ class TestRemoveAndSweep:
         assert [r.obj.object_id for r in records] == [short.object_id]
         assert long.object_id in temporal_store
 
+    def test_expired_ids_come_back_in_admission_order(self, temporal_store):
+        # Admission order x, a, b, c; arrival order differs from it.
+        for oid, t_arrival, expire in (
+            ("x", 0.0, 5.0), ("a", 3.0, 7.0), ("b", 0.0, 10.0), ("c", 1.0, 9.0),
+        ):
+            temporal_store.offer(
+                make_obj(
+                    1.0,
+                    t_arrival=t_arrival,
+                    lifetime=FixedLifetimeImportance(p=0.5, expire_after=expire),
+                    object_id=oid,
+                ),
+                t_arrival,
+            )
+        temporal_store.remove("x", 3.0)
+        assert temporal_store.reclaim_expired(9.999) == ()
+        records = temporal_store.reclaim_expired(10.0)
+        assert [r.obj.object_id for r in records] == ["a", "b", "c"]
+
     def test_expired_objects_squat_without_pressure(self, temporal_store):
         obj = make_obj(1.0)
         temporal_store.offer(obj, 0.0)
@@ -201,6 +220,27 @@ class TestQueries:
     def test_touch_unknown_raises(self, temporal_store):
         with pytest.raises(UnknownObjectError):
             temporal_store.touch("ghost", 0.0)
+
+    def test_bytes_by_creator_tracks_increments(self, temporal_store):
+        temporal_store.offer(make_obj(1.0, object_id="a", creator="u"), 0.0)
+        temporal_store.offer(make_obj(2.0, object_id="b", creator="s"), 0.0)
+        temporal_store.offer(make_obj(3.0, object_id="c", creator="u"), 0.0)
+        assert temporal_store.bytes_by_creator() == {"u": gib(4), "s": gib(2)}
+        temporal_store.remove("a", 0.0)
+        assert temporal_store.bytes_by_creator() == {"u": gib(3), "s": gib(2)}
+        temporal_store.remove("c", 0.0)
+        # Creators with no resident bytes left vanish from the tally.
+        assert temporal_store.bytes_by_creator() == {"s": gib(2)}
+
+    def test_bytes_by_creator_agrees_with_a_resident_scan(self, temporal_store):
+        for i, creator in enumerate(("university", "student", "university")):
+            temporal_store.offer(make_obj(1.0 + i, object_id=f"o{i}", creator=creator), 0.0)
+        scan = {}
+        for resident in temporal_store.iter_residents():
+            scan[resident.creator] = scan.get(resident.creator, 0) + resident.size
+        assert temporal_store.bytes_by_creator() == scan == {
+            "university": gib(4), "student": gib(2),
+        }
 
     def test_iter_residents_is_snapshot(self, temporal_store):
         temporal_store.offer(make_obj(1.0), 0.0)

@@ -94,10 +94,10 @@ class TestObservability:
             s["labels"]["reason"] == "preempted" and s["value"] > 0
             for s in evictions["series"]
         )
-        # At least one histogram, including the reclaim scan length.
-        scan = metrics["store_reclaim_scan_length"]
-        assert scan["type"] == "histogram"
-        assert any(s["count"] > 0 for s in scan["series"])
+        # At least one histogram, including the preemption depth.
+        depth = metrics["store_preemption_depth"]
+        assert depth["type"] == "histogram"
+        assert any(s["count"] > 0 for s in depth["series"])
         # --trace adds span aggregates.
         assert payload["spans"]["engine.run"]["count"] >= 1.0
         out = capsys.readouterr().out

@@ -1,12 +1,13 @@
 """The importance index must not move a single artifact byte.
 
 Runs the two quantitative anchor experiments (fig6 density feedback, sec53
-university projection) twice in-process — once on the naive reference path
-(``DEFAULT_INDEXED = False``) and once with the index — and compares the
-artifact sha256 over the rendered report, CSV headers and the
-full-precision rows.  Together with the jobs-parity determinism suite
-(which runs with the index on by default) this pins the acceptance
-criterion: indexed and naive artifacts are byte-identical.
+university projection) twice in-process — once with every store answering
+through the scan-everything :class:`~tests.reference_index.ReferenceIndex`
+(patched over ``repro.core.store.ImportanceIndex``) and once with the real
+index — and compares the artifact sha256 over the rendered report, CSV
+headers and the full-precision rows.  Together with the jobs-parity
+determinism suite this pins the acceptance criterion: indexed and naive
+artifacts are byte-identical.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 import repro.core.store as store_module
 from repro.sim.parallel import RunSpec, execute_spec
+from tests.reference_index import ReferenceIndex
 
 SPECS = [
     RunSpec("fig6", seed=7, horizon_days=40.0),
@@ -31,19 +33,23 @@ def _artifact_sha(outcome):
     return digest.hexdigest()
 
 
-def _run(spec, *, indexed):
-    previous = store_module.DEFAULT_INDEXED
-    store_module.DEFAULT_INDEXED = indexed
-    try:
-        outcome = execute_spec(spec)
-    finally:
-        store_module.DEFAULT_INDEXED = previous
+def _run(spec):
+    outcome = execute_spec(spec)
     assert outcome.ok, outcome.error
     return outcome
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.experiment)
-def test_indexed_artifacts_match_the_naive_oracle(spec):
-    naive = _run(spec, indexed=False)
-    indexed = _run(spec, indexed=True)
+def test_indexed_artifacts_match_the_naive_oracle(spec, monkeypatch):
+    built = []
+
+    class TrackedReference(ReferenceIndex):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    indexed = _run(spec)
+    monkeypatch.setattr(store_module, "ImportanceIndex", TrackedReference)
+    naive = _run(spec)
+    assert built, "the naive run never built a store"
     assert _artifact_sha(naive) == _artifact_sha(indexed)
