@@ -1,12 +1,14 @@
-"""Slab-backed resident state: differential and unit coverage.
+"""Resident bookkeeping against a scan of the residents dict.
 
-The :class:`~repro.core.slab.ResidentSlab` is a secondary, array-backed
-representation of a store's residents; the dict-of-objects path is the
-oracle.  Twin stores — one per layout — are fed identical randomized
-workloads and must agree on every observable: admission outcomes,
-eviction records (expiry order included), per-creator byte totals and
-occupancy.  :meth:`ResidentSlab.validate` cross-checks every column
-against the oracle along the way.
+The store once mirrored its residents in an array-backed slab beside the
+dict of objects.  The slab is gone: the dict is the only resident layout,
+with an incremental per-creator byte tally kept by offer and eviction and
+expiry sweeps served by the index's expired phase.  The slab-era twin
+check stays: under both index settings, a store fed a randomized workload
+must report exactly what a plain scan of its residents dict gives —
+occupancy, per-creator bytes, and expired residents leaving in admission
+order.  ``indexed=False`` runs the scan-everything reference index, so the
+oracle the differential suites lean on is held to the same scan.
 """
 
 import random
@@ -14,22 +16,23 @@ import random
 import pytest
 
 from repro.core.obj import StoredObject
-from repro.core.importance import ConstantImportance, FixedLifetimeImportance
 from repro.core.policies.temporal import TemporalImportancePolicy
-from repro.core.slab import ResidentSlab
-from repro.core.store import DEFAULT_LAYOUT, StorageUnit
-from repro.errors import CapacityError, ReproError
-from tests.core.test_index_differential import (
-    assert_evictions_equal,
-    assert_plans_equal,
-    random_lifetime,
-)
+from repro.core.store import StorageUnit
+from tests.core.test_index_differential import random_lifetime
+from tests.reference_index import reference_unit
 
 CAPACITY = 50_000
 CREATORS = ("university", "student", "archive")
 
 
-def _twin_step(rng, step, now, slab_store, dict_store):
+def _scan_bytes_by_creator(store):
+    scan = {}
+    for obj in store._residents.values():
+        scan[obj.creator] = scan.get(obj.creator, 0) + obj.size
+    return scan
+
+
+def _step(rng, step, now, store):
     action = rng.random()
     if action < 0.70:
         obj = StoredObject(
@@ -39,170 +42,41 @@ def _twin_step(rng, step, now, slab_store, dict_store):
             object_id=f"o-{step}",
             creator=rng.choice(CREATORS),
         )
-        plan_s = slab_store.peek_admission(obj, now)
-        plan_d = dict_store.peek_admission(obj, now)
-        assert_plans_equal(plan_d, plan_s, step)
-        res_s = slab_store.offer(obj, now)
-        res_d = dict_store.offer(obj, now)
-        assert res_s.admitted == res_d.admitted, f"step {step}"
-        assert_evictions_equal(res_d.evictions, res_s.evictions, step)
+        before = set(store._residents)
+        res = store.offer(obj, now)
+        after = set(store._residents)
+        evicted = [r.obj.object_id for r in res.evictions]
+        assert len(evicted) == len(set(evicted)), f"step {step}"
+        expected = (before - set(evicted)) | ({obj.object_id} if res.admitted else set())
+        assert after == expected, f"step {step}"
     elif action < 0.85:
-        assert_evictions_equal(
-            dict_store.reclaim_expired(now), slab_store.reclaim_expired(now), step
-        )
-    elif len(dict_store):
-        victim = rng.choice(sorted(oid for oid in dict_store._residents))
-        assert_evictions_equal(
-            [dict_store.remove(victim, now)], [slab_store.remove(victim, now)], step
-        )
+        due = [oid for oid, o in store._residents.items() if o.is_expired_at(now)]
+        records = store.reclaim_expired(now)
+        assert [r.obj.object_id for r in records] == due, f"step {step}"
+        assert all(r.reason == "expired" for r in records), f"step {step}"
+        assert not any(oid in store for oid in due), f"step {step}"
+    elif len(store):
+        victim = rng.choice(sorted(store._residents))
+        record = store.remove(victim, now)
+        assert record.obj.object_id == victim, f"step {step}"
+        assert victim not in store, f"step {step}"
 
 
 @pytest.mark.parametrize("seed", [11, 404])
 @pytest.mark.parametrize("indexed", [True, False])
 def test_slab_layout_matches_dict_layout(seed, indexed):
-    """Twin randomized workload across layouts (both index settings).
-
-    ``indexed=False`` matters: that is the configuration where
-    ``reclaim_expired`` is actually *served* by the slab's column scan,
-    so eviction order parity pins the admission-sequence sort.
-    """
+    """Twin a store against a scan of its residents dict (both index settings)."""
     rng = random.Random(seed)
-    slab_store = StorageUnit(
-        CAPACITY, TemporalImportancePolicy(), name="slab",
-        indexed=indexed, layout="slab",
-    )
-    dict_store = StorageUnit(
-        CAPACITY, TemporalImportancePolicy(), name="dict",
-        indexed=indexed, layout="dict",
-    )
-    assert slab_store.resident_slab is not None
-    assert dict_store.resident_slab is None
+    make = StorageUnit if indexed else reference_unit
+    store = make(CAPACITY, TemporalImportancePolicy(), name="dict")
 
     now = 0.0
     for step in range(900):
         now += rng.uniform(0.0, 25.0)
-        _twin_step(rng, step, now, slab_store, dict_store)
-        assert slab_store.used_bytes == dict_store.used_bytes, f"step {step}"
-        assert (
-            slab_store.bytes_by_creator() == dict_store.bytes_by_creator()
+        _step(rng, step, now, store)
+        assert store.used_bytes == sum(
+            o.size for o in store._residents.values()
         ), f"step {step}"
-        if step % 150 == 0:
-            assert slab_store.resident_slab.validate(slab_store._residents)
-    assert slab_store.resident_slab.validate(slab_store._residents)
-
-
-def _obj(oid, *, size=100, t=0.0, expire=50.0, creator="u"):
-    return StoredObject(
-        size=size,
-        t_arrival=t,
-        lifetime=FixedLifetimeImportance(p=0.5, expire_after=expire),
-        object_id=oid,
-        creator=creator,
-    )
-
-
-class TestResidentSlab:
-    def test_slots_recycle_through_the_free_list(self):
-        slab = ResidentSlab()
-        assert slab.add(_obj("a")) == 0
-        assert slab.add(_obj("b")) == 1
-        slab.discard("a")
-        assert slab.add(_obj("c")) == 0  # reuses a's slot
-        assert slab.slots == 2
-        assert len(slab) == 2
-
-    def test_discard_is_idempotent_and_add_rejects_duplicates(self):
-        slab = ResidentSlab()
-        slab.add(_obj("a"))
-        slab.discard("missing")
-        slab.discard("a")
-        slab.discard("a")
-        assert len(slab) == 0
-        slab.add(_obj("a"))
-        with pytest.raises(ReproError):
-            slab.add(_obj("a"))
-
-    def test_bytes_by_creator_tracks_increments(self):
-        slab = ResidentSlab()
-        slab.add(_obj("a", size=100, creator="u"))
-        slab.add(_obj("b", size=40, creator="s"))
-        slab.add(_obj("c", size=60, creator="u"))
-        assert slab.bytes_by_creator() == {"u": 160, "s": 40}
-        slab.discard("a")
-        assert slab.bytes_by_creator() == {"u": 60, "s": 40}
-        slab.discard("c")
-        # Zeroed creators vanish from the tally, matching the dict scan.
-        assert slab.bytes_by_creator() == {"s": 40}
-        assert slab.used_bytes == 40
-
-    def test_expired_ids_come_back_in_admission_order(self):
-        slab = ResidentSlab()
-        # Admission order a, b, c — but slot order changes under recycling.
-        slab.add(_obj("x", t=0.0, expire=5.0))
-        slab.add(_obj("a", t=0.0, expire=10.0))
-        slab.discard("x")
-        slab.add(_obj("b", t=0.0, expire=10.0))  # recycles x's slot 0
-        slab.add(_obj("c", t=0.0, expire=10.0))
-        assert slab.expired_object_ids(10.0) == ["a", "b", "c"]
-        assert slab.expired_object_ids(9.999) == []
-
-    def test_expiry_predicate_matches_is_expired_at(self):
-        rng = random.Random(7)
-        slab = ResidentSlab()
-        objs = []
-        for i in range(200):
-            obj = _obj(
-                f"o-{i}",
-                t=rng.uniform(0.0, 100.0),
-                expire=rng.choice((0.0, rng.uniform(0.0, 80.0))),
-            )
-            slab.add(obj)
-            objs.append(obj)
-        for now in (0.0, 13.7, 50.0, 99.0, 1e6):
-            expected = [o.object_id for o in objs if o.is_expired_at(now)]
-            assert slab.expired_object_ids(now) == expected
-
-    def test_validate_catches_a_stale_column(self):
-        slab = ResidentSlab()
-        obj = _obj("a", size=100)
-        slab.add(obj)
-        assert slab.validate({"a": obj})
-        slab._size[0] = 99  # corrupt one column
-        with pytest.raises(ReproError):
-            slab.validate({"a": obj})
-
-
-class TestStoreLayout:
-    def test_default_layout_is_slab(self):
-        assert DEFAULT_LAYOUT == "slab"
-        store = StorageUnit(1000, TemporalImportancePolicy())
-        assert store.resident_slab is not None
-
-    def test_unknown_layout_is_rejected(self):
-        with pytest.raises(CapacityError):
-            StorageUnit(1000, TemporalImportancePolicy(), layout="columnar")
-
-    def test_bytes_by_creator_agrees_with_a_resident_scan(self):
-        store = StorageUnit(10_000, TemporalImportancePolicy(), layout="slab")
-        store.offer(
-            StoredObject(
-                size=700, t_arrival=0.0,
-                lifetime=ConstantImportance(p=0.9),
-                object_id="u1", creator="university",
-            ),
-            0.0,
-        )
-        store.offer(
-            StoredObject(
-                size=300, t_arrival=0.0,
-                lifetime=ConstantImportance(p=0.4),
-                object_id="s1", creator="student",
-            ),
-            0.0,
-        )
-        scan = {}
-        for resident in store.iter_residents():
-            scan[resident.creator] = scan.get(resident.creator, 0) + resident.size
-        assert store.bytes_by_creator() == scan == {
-            "university": 700, "student": 300,
-        }
+        assert store.used_bytes <= CAPACITY, f"step {step}"
+        assert store.bytes_by_creator() == _scan_bytes_by_creator(store), f"step {step}"
+    assert [o.object_id for o in store.iter_residents()] == list(store._residents)
