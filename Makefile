@@ -14,13 +14,11 @@ test: lint unit deprecation-ratchet obs-smoke audit-smoke alerts-check trace-smo
 unit:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
-# No library code or test under core/besteffs/serve may reach a deprecated
-# API: any DeprecationWarning there is an error.  The experiment
-# run(**kwargs) shims are still exercised by tests/experiments and
-# tests/integration, which stay outside the ratchet.
+# No library code or test may reach a deprecated API: any
+# DeprecationWarning anywhere in the tier-1 suite is an error.
 deprecation-ratchet:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q \
-		tests/core tests/besteffs tests/serve -W error::DeprecationWarning
+		tests -W error::DeprecationWarning
 
 # The run-spec/parallel-executor surface: RunSpec unit tests, CLI
 # --jobs/sweep coverage, obs merge semantics, and the jobs-parity

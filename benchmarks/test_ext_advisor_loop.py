@@ -9,10 +9,15 @@ consults the advisor (density + admission threshold) before each write.
 
 from benchmarks.conftest import run_once
 from repro.experiments import ext_advisor_loop as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_ext_advisor_loop(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, capacity_gib=40, horizon_days=200.0, seed=42)
+    result = run_once(
+        benchmark,
+        mod.execute,
+        RunSpec("ext-advisor", params={"capacity_gib": 40}, seed=42, horizon_days=200.0),
+    )
 
     stats = result.per_strategy
     timid = stats["static-0.4"]

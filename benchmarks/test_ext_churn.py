@@ -8,20 +8,26 @@ desktops that will likely host larger disks").
 
 from benchmarks.conftest import run_once
 from repro.experiments import ext_churn as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_ext_churn(benchmark, save_artifact):
     result = run_once(
         benchmark,
-        mod.run,
-        nodes=16,
-        node_capacity_gib=8,
-        join_capacity_gib=12,
-        churn_interval_days=30.0,
-        leave_fraction=0.10,
-        joins_per_interval=2,
-        horizon_days=365.0,
-        seed=7,
+        mod.execute,
+        RunSpec(
+            "ext-churn",
+            params={
+                "nodes": 16,
+                "node_capacity_gib": 8,
+                "join_capacity_gib": 12,
+                "churn_interval_days": 30.0,
+                "leave_fraction": 0.10,
+                "joins_per_interval": 2,
+            },
+            seed=7,
+            horizon_days=365.0,
+        ),
     )
 
     # Churn really loses data: single copies walk away with the desktops.

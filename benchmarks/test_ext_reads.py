@@ -11,10 +11,15 @@ producer in control.
 
 from benchmarks.conftest import run_once
 from repro.experiments import ext_reads as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_ext_reads(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, capacity_gib=10.0, seed=42)
+    result = run_once(
+        benchmark,
+        mod.execute,
+        RunSpec("ext-reads", params={"capacity_gib": 10.0}, seed=42),
+    )
 
     stats = result.per_policy
     flat = stats["temporal/table1"]

@@ -9,10 +9,11 @@ maintenance writes.
 
 from benchmarks.conftest import run_once
 from repro.experiments import ext_refresh as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_ext_refresh(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, horizon_days=200.0, seed=42)
+    result = run_once(benchmark, mod.execute, RunSpec("ext-refresh", seed=42, horizon_days=200.0))
 
     # Within every estimation window, refreshing earlier (smaller safety
     # factor) costs more writes and loses fewer objects.

@@ -2,10 +2,15 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig11_lecture_timeconstant as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_fig11_lecture_timeconstant(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, capacity_gib=80, horizon_days=3 * 365.0, seed=42)
+    result = run_once(
+        benchmark,
+        mod.execute,
+        RunSpec("fig11", params={"capacity_gib": 80}, seed=42, horizon_days=3 * 365.0),
+    )
 
     # Paper: "the time constant is not a good predictor even using a time
     # range of a month" — the calendar's breaks keep month-scale estimates

@@ -2,11 +2,14 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig12_lecture_density as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_fig12_lecture_density(benchmark, save_artifact):
     result = run_once(
-        benchmark, mod.run, capacities_gib=(80, 120), horizon_days=3 * 365.0, seed=42
+        benchmark,
+        mod.execute,
+        RunSpec("fig12", params={"capacities_gib": (80, 120)}, seed=42, horizon_days=3 * 365.0),
     )
 
     for capacity, series in result.series.items():

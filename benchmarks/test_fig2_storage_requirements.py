@@ -2,10 +2,11 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig2_storage_requirements as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_fig2_storage_requirements(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, horizon_days=365.0, seed=42)
+    result = run_once(benchmark, mod.execute, RunSpec("fig2", seed=42, horizon_days=365.0))
 
     # Shape: demand accumulates monotonically, each quarter offers more
     # than the previous one, and the 80/120 GB disks fill well inside the

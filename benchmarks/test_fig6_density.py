@@ -2,11 +2,14 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig6_density as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_fig6_density(benchmark, save_artifact):
     result = run_once(
-        benchmark, mod.run, capacities_gib=(80, 120), horizon_days=365.0, seed=42
+        benchmark,
+        mod.execute,
+        RunSpec("fig6", params={"capacities_gib": (80, 120)}, seed=42, horizon_days=365.0),
     )
 
     for capacity, series in result.series.items():

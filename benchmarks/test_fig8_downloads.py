@@ -2,10 +2,11 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig8_downloads as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_fig8_downloads(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run, seed=0)
+    result = run_once(benchmark, mod.execute, RunSpec("fig8", seed=0))
 
     cfg = result.config
     # The slashdot burst is the global peak ("we were briefly slash-dotted

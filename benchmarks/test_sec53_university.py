@@ -2,16 +2,19 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import sec53_university as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_sec53_university(benchmark, save_artifact):
     result = run_once(
         benchmark,
-        mod.run,
-        node_capacities_gib=(80, 120),
-        scale=0.01,
-        horizon_days=500.0,
-        seed=7,
+        mod.execute,
+        RunSpec(
+            "sec53",
+            params={"node_capacities_gib": (80, 120), "scale": 0.01},
+            seed=7,
+            horizon_days=500.0,
+        ),
     )
 
     stats80 = result.stats[80]

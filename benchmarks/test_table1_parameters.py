@@ -2,10 +2,11 @@
 
 from benchmarks.conftest import run_once
 from repro.experiments import table1_parameters as mod
+from repro.sim.parallel import RunSpec
 
 
 def test_table1_parameters(benchmark, save_artifact):
-    result = run_once(benchmark, mod.run)
+    result = run_once(benchmark, mod.execute, RunSpec("table1"))
 
     rows = {term: (begin, persist, wane) for term, begin, persist, wane in result.rows}
     # The regenerated table must match the published one exactly.

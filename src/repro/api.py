@@ -21,8 +21,8 @@ exposed:
 * **serving** — the :mod:`repro.serve` request/response protocol
   (:class:`StoreRequest`/:class:`StoreResponse`), the synchronous
   :func:`serve` helper over a gateway, and the
-  :class:`LoadGenSpec`/:func:`run_loadgen` load-generator pair (see
-  ``docs/serving.md``).
+  :class:`LoadGenSpec`/:func:`run_loadgen` load-generator pair, whose
+  every run is a :func:`run_sharded` run (see ``docs/serving.md``).
 """
 
 from __future__ import annotations

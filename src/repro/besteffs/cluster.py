@@ -38,6 +38,12 @@ class ClusterStats:
     mean_density: float
     mean_rounds: float
     mean_probes: float
+    #: Exact totals behind the three means (density times capacity bytes,
+    #: placement rounds, node probes), so the stats of disjoint clusters
+    #: sum into the means one cluster holding them all would report.
+    weighted_density: float
+    rounds_total: int
+    probes_total: int
 
 
 class BesteffsCluster:
@@ -258,13 +264,15 @@ class BesteffsCluster:
     def resident_count(self) -> int:
         return sum(n.store.resident_count for n in self.nodes.values())
 
-    def mean_density(self, now: float) -> float:
-        """Capacity-weighted cluster-wide storage importance density."""
-        weighted = sum(
+    def _weighted_density(self, now: float) -> float:
+        return sum(
             importance_density(n.store, now) * n.capacity_bytes
             for n in self.nodes.values()
         )
-        return weighted / self.capacity_bytes
+
+    def mean_density(self, now: float) -> float:
+        """Capacity-weighted cluster-wide storage importance density."""
+        return self._weighted_density(now) / self.capacity_bytes
 
     def stored_bytes_by_creator(self) -> dict[str, int]:
         """Bytes currently resident per creator class (student vs university).
@@ -280,6 +288,7 @@ class BesteffsCluster:
 
     def stats(self, now: float) -> ClusterStats:
         attempts = self.placed_count + self.rejected_count
+        weighted = self._weighted_density(now)
         return ClusterStats(
             nodes=len(self.nodes),
             capacity_bytes=self.capacity_bytes,
@@ -287,7 +296,10 @@ class BesteffsCluster:
             resident_objects=self.resident_count(),
             placed=self.placed_count,
             rejected=self.rejected_count,
-            mean_density=self.mean_density(now),
+            mean_density=weighted / self.capacity_bytes,
             mean_rounds=self._rounds_total / attempts if attempts else 0.0,
             mean_probes=self._probes_total / attempts if attempts else 0.0,
+            weighted_density=weighted,
+            rounds_total=self._rounds_total,
+            probes_total=self._probes_total,
         )

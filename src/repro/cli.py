@@ -338,13 +338,6 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         "past it expire unadmitted (default: none)",
     )
     parser.add_argument(
-        "--executor",
-        choices=["inline", "thread"],
-        default="inline",
-        help="batch execution: inline (deterministic) or thread pool "
-        "(default: inline)",
-    )
-    parser.add_argument(
         "--open-burst",
         type=int,
         default=16,
@@ -918,7 +911,6 @@ def _serve_cmd(args: argparse.Namespace, *, mode: str, clients: int) -> int:
             rate_per_minute=args.rate_per_minute,
             rate_burst=args.rate_burst,
             deadline_minutes=args.deadline_minutes,
-            executor=args.executor,
             open_burst=args.open_burst,
             budget_gib_days=args.budget_gib_days,
             period_days=args.period_days,

@@ -187,8 +187,3 @@ def render(result: AdvisorLoopResult) -> str:
 def execute(spec: RunSpec) -> AdvisorLoopResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> AdvisorLoopResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-advisor", **kwargs))

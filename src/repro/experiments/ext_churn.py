@@ -130,9 +130,3 @@ def render(result: ChurnResult) -> str:
 def execute(spec: RunSpec) -> ChurnResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> ChurnResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    kwargs.setdefault("seed", 7)
-    return execute(RunSpec.from_kwargs("ext-churn", **kwargs))

@@ -159,8 +159,3 @@ def render(result: MixedAppsResult) -> str:
 def execute(spec: RunSpec) -> MixedAppsResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> MixedAppsResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-mixed", **kwargs))

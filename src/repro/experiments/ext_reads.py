@@ -167,8 +167,3 @@ def render(result: ReadAvailabilityResult) -> str:
 def execute(spec: RunSpec) -> ReadAvailabilityResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs(horizon=False))
-
-
-def run(**kwargs) -> ReadAvailabilityResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-reads", **kwargs))

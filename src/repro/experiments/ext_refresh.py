@@ -164,8 +164,3 @@ def render(result: RefreshResult) -> str:
 def execute(spec: RunSpec) -> RefreshResult:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> RefreshResult:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("ext-refresh", **kwargs))

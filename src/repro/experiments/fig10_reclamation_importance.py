@@ -128,8 +128,3 @@ def render(result: Fig10Result) -> str:
 def execute(spec: RunSpec) -> Fig10Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig10Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig10", **kwargs))

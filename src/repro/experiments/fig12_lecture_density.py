@@ -90,8 +90,3 @@ def render(result: Fig12Result) -> str:
 def execute(spec: RunSpec) -> Fig12Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig12Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig12", **kwargs))

@@ -96,8 +96,3 @@ def render(result: Fig2Result) -> str:
 def execute(spec: RunSpec) -> Fig2Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig2Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig2", **kwargs))

@@ -92,8 +92,3 @@ def render(result: Fig4Result) -> str:
 def execute(spec: RunSpec) -> Fig4Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig4Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig4", **kwargs))

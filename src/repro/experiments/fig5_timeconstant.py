@@ -129,8 +129,3 @@ def render(result: Fig5Result) -> str:
 def execute(spec: RunSpec) -> Fig5Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig5Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig5", **kwargs))

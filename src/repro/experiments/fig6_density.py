@@ -96,8 +96,3 @@ def render(result: Fig6Result) -> str:
 def execute(spec: RunSpec) -> Fig6Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig6Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig6", **kwargs))

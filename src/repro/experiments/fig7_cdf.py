@@ -109,8 +109,3 @@ def render(result: Fig7Result) -> str:
 def execute(spec: RunSpec) -> Fig7Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig7Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig7", **kwargs))

@@ -70,9 +70,3 @@ def render(result: Fig8Result) -> str:
 def execute(spec: RunSpec) -> Fig8Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs(horizon=False))
-
-
-def run(**kwargs) -> Fig8Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    kwargs.setdefault("seed", 0)
-    return execute(RunSpec.from_kwargs("fig8", **kwargs))

@@ -142,8 +142,3 @@ def render(result: Fig9Result) -> str:
 def execute(spec: RunSpec) -> Fig9Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Fig9Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("fig9", **kwargs))

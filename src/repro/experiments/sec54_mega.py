@@ -249,9 +249,3 @@ def render(result: Sec54Result) -> str:
 def execute(spec: RunSpec) -> Sec54Result:
     """Run the mega-university from a :class:`RunSpec`."""
     return _run(**spec.call_kwargs())
-
-
-def run(**kwargs) -> Sec54Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    kwargs.setdefault("seed", 11)
-    return execute(RunSpec.from_kwargs("sec54-mega", **kwargs))

@@ -85,8 +85,3 @@ def render(result: Table1Result) -> str:
 def execute(spec: RunSpec) -> Table1Result:
     """Run this experiment from a :class:`RunSpec` (the stable entry point)."""
     return _run(**spec.call_kwargs(seed=False, horizon=False))
-
-
-def run(**kwargs) -> Table1Result:
-    """Deprecated ``run(**kwargs)`` shim; use :func:`execute` with a spec."""
-    return execute(RunSpec.from_kwargs("table1", **kwargs))

@@ -8,15 +8,17 @@ The ROADMAP's "serve the store, don't just simulate it" subsystem:
   batched admission, bounded queues + backpressure shedding, rate
   limiting and graceful drain, plus the synchronous :func:`serve` helper;
 * :mod:`repro.serve.ratelimit` — per-principal token buckets in sim time;
-* :mod:`repro.serve.ledger` — the canonical-bytes request/response JSONL
-  ledger (byte-identical across seeded runs);
+* :mod:`repro.serve.ledger` — the append-only request/response writer and
+  the frozen canonical-bytes JSONL ledger (byte-identical across seeded
+  runs);
 * :mod:`repro.serve.loadgen` — seeded closed/open-loop load generation
   replaying the workload generators as concurrent client sessions;
 * :mod:`repro.serve.router` — deterministic hash-home request routing
   across gateway shards with saturation-aware spill;
-* :mod:`repro.serve.sharded` — the sharded multi-gateway runner: one
-  :class:`GatewayService` per node slice, globally-sequenced per-shard
-  ledgers merged into one run-wide artifact.
+* :mod:`repro.serve.sharded` — the one serving path (route → serve →
+  merge): one :class:`GatewayService` per node slice, globally-sequenced
+  per-shard ledgers merged into one run-wide artifact; a single gateway
+  is one shard.
 
 Only the protocol is imported eagerly: the gateway itself speaks
 :class:`StoreRequest`/:class:`StoreResponse`, so this package must be

@@ -47,7 +47,13 @@ class ServeLedgerEntry:
 
 @dataclass
 class ServeLedger:
-    """Append-only record of every request/response pair of one run."""
+    """Append-only writer of every request/response pair of one service.
+
+    Recording keeps the typed entries and serializes nothing, so the serve
+    loop never pays for JSON.  Once the loop is over,
+    :meth:`keyed_lines` dumps each entry exactly once; every hash, report
+    and file is then built from those lines by :class:`FrozenServeLedger`.
+    """
 
     _entries: list[ServeLedgerEntry] = field(default_factory=list)
 
@@ -80,56 +86,30 @@ class ServeLedger:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def entries(self) -> tuple[ServeLedgerEntry, ...]:
-        return tuple(self._entries)
-
-    def _header(self) -> dict[str, object]:
-        return {"format": _FORMAT, "entries": len(self._entries)}
-
-    def canonical_bytes(self) -> bytes:
-        """The run-invariant byte form: header line + one line per entry.
-
-        Entries are sorted by submission sequence (they are appended in
-        decision order, which under batching can interleave) so two runs
-        that answered the same requests produce identical bytes.
-        """
-        lines = [json.dumps(self._header(), sort_keys=True)]
-        lines.extend(
-            json.dumps(e.to_dict(), sort_keys=True)
-            for e in sorted(self._entries, key=lambda e: e.seq)
-        )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-
-    def canonical_sha256(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
-
     def keyed_lines(self) -> list[tuple[int, str]]:
-        """``(seq, canonical JSON line)`` pairs — the picklable transport
-        form shard workers ship back for the parent's merge."""
+        """``(seq, canonical JSON line)`` pairs sorted by submission seq.
+
+        Entries are appended in decision order, which under batching can
+        interleave; sorting by seq makes two runs that answered the same
+        requests produce the same lines.  This is the picklable form a
+        shard ships back for the parent's :func:`merge_ledger_lines`.
+        """
         return [
             (e.seq, json.dumps(e.to_dict(), sort_keys=True))
             for e in sorted(self._entries, key=lambda e: e.seq)
         ]
 
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write the canonical JSONL form to ``path`` and return it."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(self.canonical_bytes())
-        return path
-
 
 @dataclass(frozen=True)
 class FrozenServeLedger:
-    """A merged, read-only ledger rebuilt from canonical entry lines.
+    """The run-wide, read-only ledger: the one canonical-bytes form.
 
-    Sharded serving runs record per-shard :class:`ServeLedger`\\ s whose
+    Every serving run records per-shard :class:`ServeLedger`\\ s whose
     entries carry *global* sequence numbers; the parent merges their
-    :meth:`ServeLedger.keyed_lines` back into one run-wide ledger.  Only
-    the canonical-bytes surface survives the merge (the typed
-    request/response objects stay in the workers), which is exactly what
-    reports, hashing and ``write_jsonl`` need.
+    :meth:`ServeLedger.keyed_lines` back into one ledger.  Only the
+    canonical lines survive the merge (the typed request/response
+    objects stay in the workers), which is exactly what reports, hashing
+    and ``write_jsonl`` need.
     """
 
     lines: tuple[str, ...]
@@ -138,6 +118,7 @@ class FrozenServeLedger:
         return len(self.lines)
 
     def canonical_bytes(self) -> bytes:
+        """The run-invariant byte form: header line + one line per entry."""
         header = json.dumps(
             {"format": _FORMAT, "entries": len(self.lines)}, sort_keys=True
         )
@@ -151,6 +132,7 @@ class FrozenServeLedger:
         return [json.loads(line) for line in self.lines]
 
     def write_jsonl(self, path: str | Path) -> Path:
+        """Write the canonical JSONL form to ``path`` and return it."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(self.canonical_bytes())

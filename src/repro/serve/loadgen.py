@@ -4,7 +4,10 @@ Replays the simulator's workload generators (university capture,
 Fig. 8 download-popularity trace, diurnally modulated single-app) as
 concurrent client sessions against a freshly built Besteffs deployment —
 cluster, capability realm, fair-share ledger, gateway, service — so one
-:class:`LoadGenSpec` describes a complete serving experiment:
+:class:`LoadGenSpec` describes a complete serving experiment.  The
+deployment is built and served shard by shard in
+:mod:`repro.serve.sharded`; a single gateway is one shard.  Traffic runs
+in one of two modes:
 
 * **closed loop** — the request stream is partitioned round-robin across
   ``clients`` sessions; each session submits its next request only after
@@ -26,17 +29,13 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from time import perf_counter
 from typing import Iterator
 
 from repro.besteffs.auth import Capability, CapabilityRealm
-from repro.besteffs.cluster import BesteffsCluster, ClusterStats
-from repro.besteffs.fairness import FairShareLedger
-from repro.besteffs.gateway import BesteffsGateway
-from repro.besteffs.placement import PlacementConfig
+from repro.besteffs.cluster import ClusterStats
 from repro.core.importance import TwoStepImportance
 from repro.core.obj import StoredObject
-from repro.serve.ledger import FrozenServeLedger, ServeLedger
+from repro.serve.ledger import FrozenServeLedger
 from repro.serve.protocol import ServeError, StoreRequest, StoreStatus
 from repro.serve.router import SPILL_POLICIES, home_shard
 from repro.serve.service import GatewayService, ServeConfig
@@ -48,7 +47,7 @@ from repro.sim.workload.university import (
     UniversityConfig,
     UniversityWorkload,
 )
-from repro.units import MINUTES_PER_DAY, days, gib, mib
+from repro.units import MINUTES_PER_DAY, days, mib
 
 __all__ = [
     "FLASH_CREATOR",
@@ -104,7 +103,6 @@ class LoadGenSpec:
     #: Relative deadline (minutes after arrival) stamped on every request;
     #: None submits without deadlines.
     deadline_minutes: float | None = None
-    executor: str = "inline"
     #: Open-loop pacing: requests submitted per scheduler tick.  The
     #: worker drains at most ``batch_max`` per tick, so a burst above
     #: ``batch_max`` grows the queue and eventually sheds — the knob that
@@ -116,9 +114,9 @@ class LoadGenSpec:
     period_days: float = 30.0
     #: Hard cap on replayed requests; None replays the whole horizon.
     max_requests: int | None = None
-    #: Gateway shards fronting the cluster; 1 is the legacy single-gateway
-    #: path, >1 routes each request to a shard (:mod:`repro.serve.router`)
-    #: and serves each shard on its own service.
+    #: Gateway shards fronting the cluster, each serving its own node slice
+    #: on its own service; every request is routed to one
+    #: (:mod:`repro.serve.router`).  1 is a single gateway over all nodes.
     shards: int = 1
     #: Spill policy under home-shard saturation: "overflow" or "never".
     spill: str = "overflow"
@@ -182,27 +180,8 @@ class LoadGenSpec:
             batch_max=self.batch_max,
             rate_per_minute=self.rate_per_minute,
             rate_burst=self.rate_burst,
-            executor=self.executor,
             coalesce=self.coalesce,
         )
-
-
-def build_gateway(spec: LoadGenSpec) -> BesteffsGateway:
-    """Stand up the deployment a spec describes: cluster, realm, ledger."""
-    capacities = {
-        f"node-{i:03d}": gib(spec.node_capacity_gib) for i in range(spec.nodes)
-    }
-    cluster = BesteffsCluster(
-        capacities,
-        placement=PlacementConfig(x=min(4, spec.nodes), m=2),
-        seed=spec.seed,
-    )
-    realm = CapabilityRealm(key=b"repro-serve-loadgen")
-    ledger = FairShareLedger(
-        budget_per_period=spec.budget_gib_days * gib(1) * MINUTES_PER_DAY,
-        period_minutes=days(spec.period_days),
-    )
-    return BesteffsGateway(cluster, realm, ledger)
 
 
 def _download_arrivals(spec: LoadGenSpec) -> Iterator[StoredObject]:
@@ -354,10 +333,10 @@ def build_requests(spec: LoadGenSpec, realm: CapabilityRealm) -> list[StoreReque
 class LoadGenReport:
     """What one loadgen run produced, measured, and recorded.
 
-    Sharded runs (``spec.shards > 1``) fill the same report: counters sum
-    across shards, ``wall_seconds`` is the *slowest shard's* serve wall
-    (the fleet-capacity wall clock — what the run would take with one
-    worker per shard), and ``ledger`` is the seq-merged
+    Every run is merged from its shards (one when ``spec.shards == 1``):
+    counters sum across shards, ``wall_seconds`` is the *slowest shard's*
+    serve wall (the fleet-capacity wall clock — what the run would take
+    with one worker per shard), and ``ledger`` is the seq-merged
     :class:`~repro.serve.ledger.FrozenServeLedger`.
     """
 
@@ -375,7 +354,7 @@ class LoadGenReport:
     latency_p95_s: float
     latency_p99_s: float
     cluster: ClusterStats
-    ledger: ServeLedger | FrozenServeLedger
+    ledger: FrozenServeLedger
     #: Requests answered from a coalesced sibling's decision.
     coalesced: int = 0
     #: Writes acknowledged against an already-resident copy (cross-batch).
@@ -387,7 +366,7 @@ class LoadGenReport:
     #: Histogram of the ``retry_after`` hints handed back, bucketed minutes.
     retry_after_histogram: dict[str, int] = field(default_factory=dict)
     #: Per-shard rows ``(shard, nodes, assigned, spilled_in, admitted,
-    #: coalesced, serve_seconds)``; empty for unsharded runs.
+    #: coalesced, serve_seconds)``; empty for one-shard runs.
     per_shard: tuple[tuple, ...] = ()
 
     @property
@@ -395,25 +374,18 @@ class LoadGenReport:
         return self.responses_by_status.get("admitted", 0)
 
 
-def retry_after_histogram(ledger: ServeLedger | FrozenServeLedger) -> dict[str, int]:
+def retry_after_histogram(ledger: FrozenServeLedger) -> dict[str, int]:
     """Bucket every non-null ``retry_after`` hint in the ledger (minutes).
 
     Buckets are fixed (:data:`_RETRY_BUCKETS` edges plus an overflow), and
     every bucket appears — zero counts included — so reports from
     different runs line up column-for-column.
     """
-    if isinstance(ledger, FrozenServeLedger):
-        values = [
-            entry["response"]["retry_after"]
-            for entry in ledger.entry_dicts()
-            if entry["response"]["retry_after"] is not None
-        ]
-    else:
-        values = [
-            entry.response.retry_after
-            for entry in ledger.entries
-            if entry.response.retry_after is not None
-        ]
+    values = [
+        entry["response"]["retry_after"]
+        for entry in ledger.entry_dicts()
+        if entry["response"]["retry_after"] is not None
+    ]
     labels = [f"<={edge:g}m" for edge in _RETRY_BUCKETS]
     labels.append(f">{_RETRY_BUCKETS[-1]:g}m")
     hist = dict.fromkeys(labels, 0)
@@ -445,8 +417,8 @@ async def _drive(
     """Submit ``(seq, request)`` pairs closed- or open-loop.
 
     The explicit sequence number is each request's *global* stream
-    position — identical to the service's own counter in the unsharded
-    path, and the merge key when a shard serves a filtered sub-stream.
+    position: a shard serves a filtered sub-stream, and the parent merges
+    the shard ledgers on it.
     """
     if mode == "closed":
 
@@ -469,54 +441,14 @@ async def _drive(
 def run_loadgen(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     """Build the deployment, replay the traffic, return the report.
 
-    ``spec.shards > 1`` dispatches to the sharded runner
-    (:func:`repro.serve.sharded.run_sharded`); ``jobs`` then selects how
-    many shard workers execute concurrently and never affects outcomes.
+    Every run is a sharded run (:func:`repro.serve.sharded.run_sharded`):
+    route, serve each shard, merge.  ``shards=1`` is one shard over the
+    whole cluster through that same path.  ``jobs`` selects how many
+    shard workers execute concurrently and never affects outcomes.
     """
-    if spec.shards > 1:
-        from repro.serve.sharded import run_sharded
+    from repro.serve.sharded import run_sharded
 
-        return run_sharded(spec, jobs=jobs)
-    gateway = build_gateway(spec)
-    requests = build_requests(spec, gateway.realm)
-    ledger = ServeLedger()
-    service = GatewayService(gateway, config=spec.serve_config(), ledger=ledger)
-
-    async def _run() -> float:
-        await service.start()
-        t0 = perf_counter()
-        await _drive(
-            service, list(enumerate(requests)), spec.mode, spec.clients,
-            spec.open_burst,
-        )
-        await service.stop()
-        return perf_counter() - t0
-
-    wall = asyncio.run(_run())
-    lat = sorted(service.latencies_seconds)
-    n = len(requests)
-    return LoadGenReport(
-        spec=spec,
-        requests=n,
-        responses_by_status=dict(service.responses_by_status),
-        shed_by_reason=dict(service.shed_by_reason),
-        refusals=dict(gateway.refusals),
-        batches=service.batches,
-        queue_peak=service.queue_peak,
-        wall_seconds=wall,
-        ops_per_sec=n / wall if wall > 0 else 0.0,
-        latency_mean_s=sum(lat) / len(lat) if lat else 0.0,
-        latency_p50_s=_percentile(lat, 0.50),
-        latency_p95_s=_percentile(lat, 0.95),
-        latency_p99_s=_percentile(lat, 0.99),
-        cluster=gateway.cluster.stats(now=service.clock),
-        ledger=ledger,
-        coalesced=service.coalesced_total,
-        deduped=gateway.deduped_total,
-        spilled=0,
-        fairness_transactions=gateway.ledger.transactions,
-        retry_after_histogram=retry_after_histogram(ledger),
-    )
+    return run_sharded(spec, jobs=jobs)
 
 
 def render_report(report: LoadGenReport) -> str:

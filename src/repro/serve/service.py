@@ -28,18 +28,14 @@ measure admission latency for the obs histogram and the loadgen report —
 it never reaches the request/response ledger, which stays byte-identical
 across seeded runs.
 
-The default execution mode is ``inline``: batches are handled on the
-event loop, and the only await points are ``asyncio.sleep(0)`` yields, so
-scheduling is deterministic.  ``executor="thread"`` is the escape hatch
-that pushes gateway batches onto a thread pool — useful when the caller's
-event loop must stay responsive, at the price of scheduling determinism.
+Batches are handled on the event loop, and the only await points are
+``asyncio.sleep(0)`` yields, so scheduling is deterministic.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from repro.besteffs.gateway import BesteffsGateway
@@ -49,8 +45,6 @@ from repro.serve.protocol import ServeError, StoreRequest, StoreResponse, StoreS
 from repro.serve.ratelimit import TokenBucketLimiter
 
 __all__ = ["ServeConfig", "GatewayService", "serve"]
-
-_EXECUTORS = ("inline", "thread")
 
 
 @dataclass(frozen=True)
@@ -68,10 +62,6 @@ class ServeConfig:
     rate_burst: float = 8.0
     #: Retry-after hint (simulated minutes) attached to queue-full sheds.
     retry_after_minutes: float = 1.0
-    #: "inline" (deterministic, on-loop) or "thread" (pool escape hatch).
-    executor: str = "inline"
-    #: Thread-pool width when ``executor="thread"``.
-    threads: int = 4
     #: Coalesce same-``(principal, object id)`` requests within one
     #: admission round into a single gateway decision fanned back to all
     #: callers (the write-dedup half of flash-crowd survival).
@@ -86,12 +76,6 @@ class ServeConfig:
             raise ServeError(
                 f"retry_after_minutes must be > 0, got {self.retry_after_minutes}"
             )
-        if self.executor not in _EXECUTORS:
-            raise ServeError(
-                f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
-            )
-        if self.threads < 1:
-            raise ServeError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass
@@ -138,7 +122,6 @@ class GatewayService:
         self._seq = 0
         self._queue: asyncio.Queue | None = None
         self._worker_task: asyncio.Task | None = None
-        self._pool: ThreadPoolExecutor | None = None
         self._draining = False
 
     # -- lifecycle --------------------------------------------------------
@@ -153,10 +136,6 @@ class GatewayService:
             raise ServeError("service is already running")
         self._draining = False
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
-        if self.config.executor == "thread" and self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.threads, thread_name_prefix="repro-serve"
-            )
         self._worker_task = asyncio.create_task(self._worker())
 
     async def stop(self) -> None:
@@ -170,9 +149,6 @@ class GatewayService:
         if self._worker_task is not None:
             await self._worker_task
             self._worker_task = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._queue = None
 
     # -- request path -----------------------------------------------------
@@ -281,7 +257,6 @@ class GatewayService:
 
     async def _worker(self) -> None:
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
             item = await self._queue.get()
             if item is _STOP:
@@ -301,13 +276,11 @@ class GatewayService:
                 _OBS.registry.gauge(
                     "serve_queue_depth", "Requests queued awaiting admission"
                 ).set(self._queue.qsize())
-            await self._process_batch(batch, loop)
+            await self._process_batch(batch)
             if stop_seen:
                 break
 
-    async def _process_batch(
-        self, batch: list[_Pending], loop: asyncio.AbstractEventLoop
-    ) -> None:
+    async def _process_batch(self, batch: list[_Pending]) -> None:
         # One clock per batch: every member is judged at the same instant,
         # which is what makes coalescing a *placement round* rather than a
         # convenience loop.
@@ -319,21 +292,16 @@ class GatewayService:
                 "Requests coalesced per admission round",
                 buckets=COUNT_BUCKETS,
             ).observe(len(batch))
-        if self._pool is not None:
-            responses = await loop.run_in_executor(
-                self._pool, self._handle_batch, batch, batch_now
-            )
-        else:
-            responses = self._handle_batch(batch, batch_now)
-            # Deterministic yield so open-loop submitters interleave.
-            await asyncio.sleep(0)
+        responses = self._handle_batch(batch, batch_now)
+        # Deterministic yield so open-loop submitters interleave.
+        await asyncio.sleep(0)
         for pending, response in zip(batch, responses):
             self._finish(pending, response, batch_now)
 
     def _handle_batch(
         self, batch: list[_Pending], now: float
     ) -> list[StoreResponse]:
-        """Synchronous batch admission; runs on-loop or on the pool.
+        """Synchronous batch admission, on the event loop.
 
         Deadlines are checked first — an expired request is answered
         ``EXPIRED_IN_QUEUE`` *before* coalescing groups form, so it can
@@ -367,10 +335,7 @@ class GatewayService:
         else:
             members = [[i] for i in live]
         leaders = [requests[idxs[0]] for idxs in members]
-        if hasattr(self.gateway, "handle_batch"):
-            decisions = self.gateway.handle_batch(leaders, now=now)
-        else:  # duck-typed gateways without the batched write path
-            decisions = [self.gateway.handle(r, now=now) for r in leaders]
+        decisions = self.gateway.handle_batch(leaders, now=now)
         coalesced = 0
         for idxs, decision in zip(members, decisions):
             responses[idxs[0]] = decision

@@ -1,13 +1,14 @@
-"""Sharded multi-gateway serving: route → per-shard serve → merge.
+"""Serving runs: route → per-shard serve → merge.
 
-One :class:`~repro.serve.loadgen.LoadGenSpec` with ``shards > 1``
-partitions the Besteffs cluster into contiguous node slices
-(:func:`repro.sim.shard.shard_slice`), fronts each slice with its own
-:class:`~repro.serve.service.GatewayService`, and routes every request
-deterministically with :mod:`repro.serve.router`.  Each shard is a
-self-contained :class:`~repro.sim.parallel.RunSpec` run ("serve-shard" in
-the experiment registry), so the existing parallel executor provides
-worker-process isolation and ``--jobs 1`` versus ``--jobs N`` is
+Every :class:`~repro.serve.loadgen.LoadGenSpec` runs here.  The Besteffs
+cluster is partitioned into contiguous node slices
+(:func:`repro.sim.shard.shard_slice`), each fronted by its own
+:class:`~repro.serve.service.GatewayService`, and every request is routed
+deterministically with :mod:`repro.serve.router`.  ``shards=1`` is one
+slice holding the whole cluster, served through exactly the same code.
+Each shard is a self-contained :class:`~repro.sim.parallel.RunSpec` run
+("serve-shard" in the experiment registry), so the parallel executor
+provides worker-process isolation and ``--jobs 1`` versus ``--jobs N`` is
 byte-identical by construction.
 
 A shard worker never receives the routing plan — it *recomputes* it:
@@ -17,12 +18,17 @@ A shard worker never receives the routing plan — it *recomputes* it:
    :class:`~repro.serve.router.RouterConfig` — a pure function of the
    ordered stream;
 3. serve exactly the sub-stream routed to this shard, passing each
-   request's **global** stream position as the ledger sequence number.
+   request's **global** stream position as the ledger sequence number;
+4. once the serve loop is over, dump each ledger entry exactly once
+   (:meth:`~repro.serve.ledger.ServeLedger.keyed_lines`).
 
 The parent then merges per-shard ledgers with
 :func:`~repro.serve.ledger.merge_ledger_lines` — sorting by global seq —
 into one run-wide :class:`~repro.serve.ledger.FrozenServeLedger` whose
 canonical bytes are independent of shard scheduling and worker count.
+Cluster counters merge as exact totals, so a one-shard report carries
+its cluster's own :class:`~repro.besteffs.cluster.ClusterStats` bit for
+bit.
 
 Timing: each shard's ``serve_seconds`` wall clock is measured around the
 serve loop only (stream regeneration and cluster build excluded), and the
@@ -96,10 +102,9 @@ TIMING_KINDS = frozenset({"timing", "latency"})
 def shard_serve_seed(seed: int, shard: int, shards: int) -> int:
     """Deterministic 63-bit seed of one serving shard's cluster RNG.
 
-    ``shards == 1`` returns the base seed unchanged, so a one-shard run is
-    byte-for-byte the legacy single-gateway
-    :func:`~repro.serve.loadgen.run_loadgen` deployment.  Multi-shard
-    seeds derive from the shard coordinates alone — never from worker
+    ``shards == 1`` returns the base seed unchanged, which keeps every
+    single-gateway ledger ever pinned byte-identical.  Multi-shard seeds
+    derive from the shard coordinates alone — never from worker
     identity — mirroring :func:`repro.sim.shard.shard_seed`.
     """
     if shards == 1:
@@ -134,8 +139,7 @@ def build_shard_gateway(spec: LoadGenSpec, shard: int) -> BesteffsGateway:
     realm = CapabilityRealm(key=b"repro-serve-loadgen")
     # Pro-rate the fleet budget by node share: summed over shards the
     # deployment enforces exactly ``budget_gib_days``, whatever the shard
-    # count (node_count == spec.nodes at shards == 1, preserving legacy
-    # byte parity).
+    # count (node_count == spec.nodes at shards == 1).
     ledger = FairShareLedger(
         budget_per_period=(
             spec.budget_gib_days * gib(1) * MINUTES_PER_DAY * node_count / spec.nodes
@@ -171,7 +175,8 @@ class ShardServeOutcome:
     latency_p95_s: float
     latency_p99_s: float
     cluster: ClusterStats
-    ledger: ServeLedger
+    #: ``(global seq, canonical entry line)`` pairs, sorted by seq.
+    ledger_lines: tuple[tuple[int, str], ...]
 
 
 def run_shard_serve(spec: LoadGenSpec, shard: int) -> ShardServeOutcome:
@@ -245,7 +250,7 @@ def run_shard_serve(spec: LoadGenSpec, shard: int) -> ShardServeOutcome:
         latency_p95_s=_percentile(lat, 0.95),
         latency_p99_s=_percentile(lat, 0.99),
         cluster=gateway.cluster.stats(now=service.clock),
-        ledger=ledger,
+        ledger_lines=tuple(ledger.keyed_lines()),
     )
 
 
@@ -275,9 +280,9 @@ def shard_rows(outcome: ShardServeOutcome) -> list[tuple]:
         ("stat", "resident", stats.resident_objects),
         ("stat", "placed", stats.placed),
         ("stat", "rejected", stats.rejected),
-        ("stat", "mean_density", stats.mean_density),
-        ("stat", "mean_rounds", stats.mean_rounds),
-        ("stat", "mean_probes", stats.mean_probes),
+        ("stat", "weighted_density", stats.weighted_density),
+        ("stat", "rounds_total", stats.rounds_total),
+        ("stat", "probes_total", stats.probes_total),
     ]
     rows.extend(
         ("status", status, count)
@@ -299,9 +304,7 @@ def shard_rows(outcome: ShardServeOutcome) -> list[tuple]:
             ("timing", "serve_seconds", outcome.serve_seconds),
         ]
     )
-    rows.extend(
-        ("ledger", f"{seq:012d}", line) for seq, line in outcome.ledger.keyed_lines()
-    )
+    rows.extend(("ledger", f"{seq:012d}", line) for seq, line in outcome.ledger_lines)
     return rows
 
 
@@ -323,6 +326,7 @@ def _decode_rows(rows) -> dict:
 
 def render_shard(outcome: ShardServeOutcome) -> str:
     """Printable single-shard summary (standalone ``serve-shard`` runs)."""
+    ledger = FrozenServeLedger(tuple(line for _seq, line in outcome.ledger_lines))
     lines = [
         f"serve shard {outcome.shard}/{outcome.shards}: {outcome.nodes} node(s), "
         f"{outcome.assigned} request(s) assigned "
@@ -343,7 +347,7 @@ def render_shard(outcome: ShardServeOutcome) -> str:
             f"{outcome.cluster.resident_objects} resident"
         ),
         f"  serve wall      {outcome.serve_seconds:.3f}s",
-        f"  ledger sha256   {outcome.ledger.canonical_sha256()}",
+        f"  ledger sha256   {ledger.canonical_sha256()}",
     ]
     return "\n".join(lines)
 
@@ -389,7 +393,8 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     lat_weighted = 0.0
     lat_p50 = lat_p95 = lat_p99 = 0.0
     nodes = capacity = used = resident = placed = rejected = 0
-    density_weighted = rounds_weighted = probes_weighted = 0.0
+    rounds = probes = 0
+    weighted_density = 0.0
     for shard, outcome in enumerate(outcomes):
         if not outcome.ok:
             detail = outcome.error.render() if outcome.error else "unknown"
@@ -417,9 +422,9 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         resident += stat["resident"]
         placed += stat["placed"]
         rejected += stat["rejected"]
-        density_weighted += stat["mean_density"] * stat["capacity_bytes"]
-        rounds_weighted += stat["mean_rounds"] * stat["placed"]
-        probes_weighted += stat["mean_probes"] * stat["placed"]
+        weighted_density += stat["weighted_density"]
+        rounds += stat["rounds_total"]
+        probes += stat["probes_total"]
         wall = decoded["timing"]["serve_seconds"]
         serve_walls.append(wall)
         lat_weighted += decoded["latency"]["mean_s"] * assigned
@@ -442,6 +447,10 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
     # Fleet-capacity wall: the slowest shard bounds a one-worker-per-shard
     # deployment, whatever machine executed the shards here.
     wall = max(serve_walls) if serve_walls else 0.0
+    # The same expressions as BesteffsCluster.stats over exact totals:
+    # means are per placement attempt, and one shard reproduces its own
+    # cluster's stats bit for bit.
+    attempts = placed + rejected
     cluster = ClusterStats(
         nodes=nodes,
         capacity_bytes=capacity,
@@ -449,9 +458,12 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         resident_objects=resident,
         placed=placed,
         rejected=rejected,
-        mean_density=density_weighted / capacity if capacity else 0.0,
-        mean_rounds=rounds_weighted / placed if placed else 0.0,
-        mean_probes=probes_weighted / placed if placed else 0.0,
+        mean_density=weighted_density / capacity if capacity else 0.0,
+        mean_rounds=rounds / attempts if attempts else 0.0,
+        mean_probes=probes / attempts if attempts else 0.0,
+        weighted_density=weighted_density,
+        rounds_total=rounds,
+        probes_total=probes,
     )
     return LoadGenReport(
         spec=spec,
@@ -474,7 +486,8 @@ def run_sharded(spec: LoadGenSpec, *, jobs: int = 1) -> LoadGenReport:
         spilled=spilled,
         fairness_transactions=transactions,
         retry_after_histogram=retry_after_histogram(ledger),
-        per_shard=tuple(per_shard),
+        # One shard is the whole deployment: no per-shard table.
+        per_shard=tuple(per_shard) if spec.shards > 1 else (),
     )
 
 

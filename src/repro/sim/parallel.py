@@ -32,6 +32,7 @@ import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import product
 from time import perf_counter
@@ -51,6 +52,15 @@ __all__ = [
 ]
 
 _SLUG_RE = re.compile(r"[^A-Za-z0-9_.=-]+")
+
+#: Appended to the error of a spec whose worker pool broke: the usual
+#: cause is a script without a main guard, which every spawn worker
+#: re-runs on import and so dies starting a pool of its own.
+_BROKEN_POOL_HINT = (
+    " Hint: spawn workers import the main module, so a script that starts "
+    "a pool without an `if __name__ == \"__main__\":` guard re-runs in "
+    "every worker and breaks the pool; put the call under that guard."
+)
 
 
 @dataclass(frozen=True)
@@ -147,31 +157,6 @@ class RunSpec:
         object.__setattr__(self, "params", _normalise_params(self.params))
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_kwargs(cls, experiment: str, **kwargs: Any) -> "RunSpec":
-        """Adapt a legacy ``run(**kwargs)`` call into a spec.
-
-        This is the deprecation shim behind every experiment module's old
-        ``run()`` signature: ``seed`` and ``horizon_days`` become spec
-        fields, everything else lands in :attr:`params`.
-        """
-        import warnings
-
-        warnings.warn(
-            f"calling {experiment} run(**kwargs) is deprecated; build a "
-            "repro.sim.parallel.RunSpec and call execute(spec) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        seed = kwargs.pop("seed", None)
-        horizon = kwargs.pop("horizon_days", None)
-        spec = cls(experiment=experiment, params=tuple(kwargs.items()))
-        if seed is not None:
-            spec = replace(spec, seed=int(seed))
-        if horizon is not None:
-            spec = replace(spec, horizon_days=float(horizon))
-        return spec
 
     def with_overrides(self, **changes: Any) -> "RunSpec":
         """A copy with fields replaced (params re-normalised)."""
@@ -394,13 +379,16 @@ def run_specs(
             try:
                 outcome = future.result()
             except BaseException as exc:  # worker process died, pool broke, ...
+                message = str(exc)
+                if isinstance(exc, BrokenProcessPool):
+                    message += _BROKEN_POOL_HINT
                 outcome = RunOutcome(
                     spec=spec_list[index],
                     ok=False,
                     wall_seconds=0.0,
                     error=RunError(
                         exc_type=type(exc).__name__,
-                        message=str(exc),
+                        message=message,
                         traceback="",
                     ),
                 )

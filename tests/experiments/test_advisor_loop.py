@@ -3,12 +3,15 @@
 import pytest
 
 from repro.experiments import ext_advisor_loop
+from repro.sim.parallel import RunSpec
 
 
 class TestAdvisorLoop:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_advisor_loop.run(capacity_gib=20, horizon_days=100.0, seed=5)
+        return ext_advisor_loop.execute(
+            RunSpec("ext-advisor", params={"capacity_gib": 20}, seed=5, horizon_days=100.0),
+        )
 
     def test_all_strategies_scored(self, result):
         assert set(result.per_strategy) == {

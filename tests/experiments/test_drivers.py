@@ -22,13 +22,17 @@ from repro.experiments import (
     sec53_university,
     table1_parameters,
 )
+from repro.sim.parallel import RunSpec
 
-FAST = {"horizon_days": 120.0, "seed": 11}
+
+def fast(experiment, **params):
+    """A reduced-scale spec: 120 simulated days at seed 11."""
+    return RunSpec(experiment, params=params, seed=11, horizon_days=120.0)
 
 
 class TestFig2:
     def test_run_and_render(self):
-        result = fig2_storage_requirements.run(horizon_days=120.0, seed=11)
+        result = fig2_storage_requirements.execute(fast("fig2"))
         assert result.series
         totals = [total for _t, total in result.series]
         assert totals == sorted(totals)
@@ -39,7 +43,7 @@ class TestFig2:
 
 class TestFig3:
     def test_series_per_capacity_and_policy(self):
-        result = fig3_lifetimes.run(capacities_gib=(8,), **FAST)
+        result = fig3_lifetimes.execute(fast("fig3", capacities_gib=(8,)))
         assert set(result.series) == {
             (8, "temporal-importance"), (8, "no-importance"), (8, "palimpsest")
         }
@@ -49,7 +53,7 @@ class TestFig3:
 
 class TestFig4:
     def test_rejection_monotonicity(self):
-        result = fig4_rejections.run(capacities_gib=(8,), **FAST)
+        result = fig4_rejections.execute(fast("fig4", capacities_gib=(8,)))
         for series in result.cumulative.values():
             counts = [c for _t, c in series]
             assert counts == sorted(counts)
@@ -59,7 +63,7 @@ class TestFig4:
 
 class TestFig5:
     def test_three_windows_estimated(self):
-        result = fig5_timeconstant.run(capacity_gib=8, **FAST)
+        result = fig5_timeconstant.execute(fast("fig5", capacity_gib=8))
         assert set(result.series) == {"hour", "day", "month"}
         assert result.series["hour"].points
         assert "Breusch-Pagan" in fig5_timeconstant.render(result) or result.daily_bp is None
@@ -67,7 +71,7 @@ class TestFig5:
 
 class TestFig6:
     def test_density_bounds(self):
-        result = fig6_density.run(capacities_gib=(8,), **FAST)
+        result = fig6_density.execute(fast("fig6", capacities_gib=(8,)))
         for series in result.series.values():
             assert all(0.0 <= d <= 1.0 for _t, d in series)
         assert "Figure 6" in fig6_density.render(result)
@@ -75,8 +79,14 @@ class TestFig6:
 
 class TestFig7:
     def test_snapshot_in_band(self):
-        result = fig7_cdf.run(capacity_gib=8, horizon_days=200.0, seed=11,
-                              band=(0.75, 0.95))
+        result = fig7_cdf.execute(
+            RunSpec(
+                "fig7",
+                params={"capacity_gib": 8, "band": (0.75, 0.95)},
+                seed=11,
+                horizon_days=200.0,
+            ),
+        )
         assert 0.75 <= result.density_at_snapshot <= 0.95
         assert result.cdf[-1][1] == pytest.approx(1.0)
         assert 0.0 < result.fraction_importance_one < 1.0
@@ -84,13 +94,19 @@ class TestFig7:
 
     def test_unreachable_band_raises(self):
         with pytest.raises(RuntimeError, match="never entered"):
-            fig7_cdf.run(capacity_gib=8, horizon_days=3.0, seed=11,
-                         band=(0.9999, 1.0))
+            fig7_cdf.execute(
+                RunSpec(
+                    "fig7",
+                    params={"capacity_gib": 8, "band": (0.9999, 1.0)},
+                    seed=11,
+                    horizon_days=3.0,
+                ),
+            )
 
 
 class TestFig8:
     def test_trace_and_landmarks(self):
-        result = fig8_downloads.run(seed=3)
+        result = fig8_downloads.execute(RunSpec("fig8", seed=3))
         assert result.trace
         assert result.peak_downloads >= result.mean_in_term
         assert result.mean_after_term < result.mean_in_term
@@ -99,7 +115,7 @@ class TestFig8:
 
 class TestTable1:
     def test_rows_match_paper(self):
-        result = table1_parameters.run()
+        result = table1_parameters.execute(RunSpec("table1"))
         rows = {term: (begin, persist, wane) for term, begin, persist, wane in result.rows}
         assert rows["Spring"] == (8, "120 - today", 730.0)
         assert rows["Summer"] == (150, "210 - today", 365.0)
@@ -109,8 +125,8 @@ class TestTable1:
 
 class TestFig9:
     def test_creator_series(self):
-        result = fig9_lecture_lifetimes.run(
-            capacities_gib=(8,), horizon_days=500.0, seed=11
+        result = fig9_lecture_lifetimes.execute(
+            RunSpec("fig9", params={"capacities_gib": (8,)}, seed=11, horizon_days=500.0),
         )
         assert (8, "university") in result.series
         assert (8, "student") in result.series
@@ -119,8 +135,8 @@ class TestFig9:
 
 class TestFig10:
     def test_policies_compared(self):
-        result = fig10_reclamation_importance.run(
-            capacities_gib=(8,), horizon_days=500.0, seed=11
+        result = fig10_reclamation_importance.execute(
+            RunSpec("fig10", params={"capacities_gib": (8,)}, seed=11, horizon_days=500.0),
         )
         assert (8, "temporal-importance") in result.series
         assert (8, "palimpsest") in result.series
@@ -129,8 +145,8 @@ class TestFig10:
 
 class TestFig11:
     def test_lecture_time_constants(self):
-        result = fig11_lecture_timeconstant.run(
-            capacity_gib=8, horizon_days=400.0, seed=11
+        result = fig11_lecture_timeconstant.execute(
+            RunSpec("fig11", params={"capacity_gib": 8}, seed=11, horizon_days=400.0),
         )
         assert result.series["day"].points
         assert "Figure 11" in fig11_lecture_timeconstant.render(result)
@@ -138,8 +154,8 @@ class TestFig11:
 
 class TestFig12:
     def test_density_series(self):
-        result = fig12_lecture_density.run(
-            capacities_gib=(8,), horizon_days=500.0, seed=11
+        result = fig12_lecture_density.execute(
+            RunSpec("fig12", params={"capacities_gib": (8,)}, seed=11, horizon_days=500.0),
         )
         assert all(0.0 <= d <= 1.0 for _t, d in result.series[8])
         assert "Figure 12" in fig12_lecture_density.render(result)
@@ -147,8 +163,13 @@ class TestFig12:
 
 class TestSec53:
     def test_scaled_cluster_summary(self):
-        result = sec53_university.run(
-            node_capacities_gib=(8,), scale=0.005, horizon_days=150.0, seed=11
+        result = sec53_university.execute(
+            RunSpec(
+                "sec53",
+                params={"node_capacities_gib": (8,), "scale": 0.005},
+                seed=11,
+                horizon_days=150.0,
+            ),
         )
         stats = result.stats[8]
         assert stats.nodes == result.nodes

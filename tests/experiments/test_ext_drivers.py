@@ -3,11 +3,14 @@
 import pytest
 
 from repro.experiments import ext_churn, ext_mixed_apps, ext_refresh
+from repro.sim.parallel import RunSpec
 
 
 class TestMixedApps:
     def test_importance_order_governs_service(self):
-        result = ext_mixed_apps.run(capacity_gib=20, horizon_days=120.0, seed=3)
+        result = ext_mixed_apps.execute(
+            RunSpec("ext-mixed", params={"capacity_gib": 20}, seed=3, horizon_days=120.0),
+        )
         archiver = result.per_class["archiver"]
         reporter = result.per_class["reporter"]
         cache = result.per_class["cache"]
@@ -17,28 +20,40 @@ class TestMixedApps:
         assert "archiver" in ext_mixed_apps.render(result)
 
     def test_all_classes_served_without_pressure(self):
-        result = ext_mixed_apps.run(capacity_gib=400, horizon_days=60.0, seed=3)
+        result = ext_mixed_apps.execute(
+            RunSpec("ext-mixed", params={"capacity_gib": 400}, seed=3, horizon_days=60.0),
+        )
         for stats in result.per_class.values():
             assert stats["rejected"] == 0
 
 
 class TestChurn:
     def test_departures_lose_single_copies(self):
-        result = ext_churn.run(horizon_days=200.0, seed=3)
+        result = ext_churn.execute(RunSpec("ext-churn", seed=3, horizon_days=200.0))
         assert result.lost_to_departures > 0
         assert result.lost_bytes_gib > 0
         assert result.overlay_rebuilds > 0
         assert "lost to departures" in ext_churn.render(result)
 
     def test_fleet_upgrade_grows_capacity(self):
-        result = ext_churn.run(
-            horizon_days=200.0, node_capacity_gib=8, join_capacity_gib=16, seed=3
+        result = ext_churn.execute(
+            RunSpec(
+                "ext-churn",
+                params={"node_capacity_gib": 8, "join_capacity_gib": 16},
+                seed=3,
+                horizon_days=200.0,
+            ),
         )
         assert result.final_capacity_gib > result.initial_capacity_gib
 
     def test_no_churn_means_no_departure_losses(self):
-        result = ext_churn.run(
-            horizon_days=120.0, leave_fraction=0.0, joins_per_interval=0, seed=3
+        result = ext_churn.execute(
+            RunSpec(
+                "ext-churn",
+                params={"leave_fraction": 0.0, "joins_per_interval": 0},
+                seed=3,
+                horizon_days=120.0,
+            ),
         )
         assert result.lost_to_departures == 0
         assert result.final_capacity_gib == result.initial_capacity_gib
@@ -49,7 +64,7 @@ class TestReads:
     def result(self):
         from repro.experiments import ext_reads
 
-        return ext_reads.run(capacity_gib=10.0, seed=11)
+        return ext_reads.execute(RunSpec("ext-reads", params={"capacity_gib": 10.0}, seed=11))
 
     def test_all_variants_scored(self, result):
         assert set(result.per_policy) == {
@@ -74,7 +89,7 @@ class TestReads:
     def test_ample_capacity_serves_everything(self):
         from repro.experiments import ext_reads
 
-        result = ext_reads.run(capacity_gib=40.0, seed=11)
+        result = ext_reads.execute(RunSpec("ext-reads", params={"capacity_gib": 40.0}, seed=11))
         for stats in result.per_policy.values():
             assert stats["hit_rate"] == 1.0
 
@@ -82,7 +97,7 @@ class TestReads:
 class TestRefresh:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_refresh.run(horizon_days=120.0, seed=3)
+        return ext_refresh.execute(RunSpec("ext-refresh", seed=3, horizon_days=120.0))
 
     def test_safety_factor_trades_losses_for_writes(self, result):
         for window in ("hour", "day", "month"):

@@ -10,7 +10,7 @@ who lets ``perf_counter`` or host ordering leak into the request path.
 import json
 
 from repro.core.obj import reset_object_ids
-from repro.serve.ledger import ServeLedger
+from repro.serve.ledger import ServeLedger, merge_ledger_lines
 from repro.serve.loadgen import LoadGenSpec, run_loadgen
 from repro.serve.protocol import StoreRequest, StoreResponse, StoreStatus
 from repro.besteffs.auth import CapabilityRealm
@@ -76,7 +76,8 @@ class TestCanonicalForm:
                 t_decided=2.0,
                 seq=seq,
             )
-        return ledger
+        # The writer only records; its frozen form owns the bytes.
+        return merge_ledger_lines(ledger.keyed_lines())
 
     def test_header_line_and_entry_order(self):
         lines = self.make_ledger().canonical_bytes().decode().splitlines()

@@ -5,12 +5,12 @@ import pytest
 from repro.serve.loadgen import (
     LoadGenSpec,
     _percentile,
-    build_gateway,
     build_requests,
     render_report,
     run_loadgen,
 )
 from repro.serve.protocol import ServeError
+from repro.serve.sharded import build_shard_gateway
 from repro.sim.workload.university import STUDENT_CREATOR
 from repro.units import gib
 
@@ -45,26 +45,26 @@ class TestSpecValidation:
     def test_serve_config_mirrors_spec(self):
         spec = small_spec(
             queue_size=17, batch_max=5, rate_per_minute=3.0, rate_burst=2.0,
-            executor="thread",
+            coalesce=False,
         )
         config = spec.serve_config()
         assert config.queue_size == 17
         assert config.batch_max == 5
         assert config.rate_per_minute == 3.0
         assert config.rate_burst == 2.0
-        assert config.executor == "thread"
+        assert config.coalesce is False
 
 
 class TestDeploymentBuild:
     def test_build_gateway_sizes_cluster_from_spec(self):
-        gateway = build_gateway(small_spec(nodes=3, node_capacity_gib=1.0))
+        gateway = build_shard_gateway(small_spec(nodes=3, node_capacity_gib=1.0), 0)
         stats = gateway.cluster.stats(now=0.0)
         assert stats.nodes == 3
         assert stats.capacity_bytes == 3 * gib(1)
 
     def test_build_requests_mints_per_creator_with_ceilings(self):
         spec = small_spec(max_requests=80)
-        gateway = build_gateway(spec)
+        gateway = build_shard_gateway(spec, 0)
         requests = build_requests(spec, gateway.realm)
         assert 0 < len(requests) <= 80
         by_creator = {r.capability.principal: r.capability for r in requests}
@@ -85,18 +85,18 @@ class TestDeploymentBuild:
 
     def test_deadlines_are_relative_to_arrival(self):
         spec = small_spec(deadline_minutes=30.0, max_requests=20)
-        requests = build_requests(spec, build_gateway(spec).realm)
+        requests = build_requests(spec, build_shard_gateway(spec, 0).realm)
         assert requests
         assert all(r.deadline == r.obj.t_arrival + 30.0 for r in requests)
 
     def test_no_deadline_by_default(self):
         spec = small_spec(max_requests=10)
-        requests = build_requests(spec, build_gateway(spec).realm)
+        requests = build_requests(spec, build_shard_gateway(spec, 0).realm)
         assert all(r.deadline is None for r in requests)
 
     def test_downloads_workload_replays_mirror_copies(self):
         spec = small_spec(workload="downloads", max_requests=50)
-        requests = build_requests(spec, build_gateway(spec).realm)
+        requests = build_requests(spec, build_shard_gateway(spec, 0).realm)
         assert requests
         assert all(r.obj.creator == "mirror" for r in requests)
         arrivals = [r.obj.t_arrival for r in requests]

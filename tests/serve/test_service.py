@@ -54,8 +54,6 @@ class TestConfigValidation:
             {"queue_size": 0},
             {"batch_max": 0},
             {"retry_after_minutes": 0.0},
-            {"executor": "fork"},
-            {"threads": 0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -240,17 +238,6 @@ class TestLifecycle:
             return response
 
         assert asyncio.run(run()).stored
-
-    def test_thread_executor_matches_inline_statuses(self):
-        inline_gw = make_gateway()
-        inline = serve(inline_gw, make_requests(inline_gw, 12, size_gib=0.2))
-        threaded_gw = make_gateway()
-        threaded = serve(
-            threaded_gw,
-            make_requests(threaded_gw, 12, size_gib=0.2),
-            config=ServeConfig(executor="thread", threads=2),
-        )
-        assert [r.status for r in inline] == [r.status for r in threaded]
 
 
 class TestObsWiring:

@@ -1,4 +1,4 @@
-"""Tests for the sharded multi-gateway runner: route → serve → merge."""
+"""Tests for the serving path: route → serve → merge, at any shard count."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.serve.sharded import (
     build_shard_gateway,
     merged_rows,
     run_shard_serve,
-    run_sharded,
     shard_serve_seed,
 )
 from repro.sim.parallel import RunSpec
@@ -74,19 +73,82 @@ class TestBuildShardGateway:
             run_shard_serve(flash_spec(shards=2), 2)
 
 
+#: Ledger sha256 of single-gateway runs, recorded before one-shard runs
+#: moved onto the route → serve → merge path.  Any drift means a
+#: one-shard run no longer serves exactly what a lone gateway served.
+SINGLE_GATEWAY_SHA256 = {
+    "university-closed": (
+        dict(
+            workload="university", mode="closed", clients=8, nodes=4,
+            horizon_days=10.0, scale=0.02, seed=7, max_requests=200,
+        ),
+        "bec55c7c6608ccf737913b68a33879ce82d151110c93dbfa839442feebb22d80",
+    ),
+    "downloads-open-queue-full": (
+        dict(
+            workload="downloads", mode="open", clients=1, nodes=1,
+            horizon_days=20.0, queue_size=8, batch_max=4, open_burst=16,
+            seed=7, max_requests=300,
+        ),
+        "da74861e26347da9289a19b49db1c8cb3fd2bd66fe37eeb9565a14f2f19df1ee",
+    ),
+    "diurnal-open-3-nodes": (
+        dict(
+            workload="diurnal", mode="open", clients=4, nodes=3,
+            horizon_days=10.0, seed=7, max_requests=300,
+        ),
+        "c75e5211dbc262e322620869f0a61648834ca50986fd050ea64688eb45155246",
+    ),
+    "university-rate-limited": (
+        dict(
+            workload="university", mode="closed", clients=4, nodes=4,
+            horizon_days=10.0, scale=0.02, seed=7, max_requests=300,
+            rate_per_minute=0.01, rate_burst=2.0,
+        ),
+        "2d24f91145023d44ec438a658a37f9ce3aa7cc3274fab1e40aba681619a59dfa",
+    ),
+}
+
+
 class TestSingleShardParity:
     def test_one_shard_matches_legacy_gateway(self):
-        # shards=1 must be byte-for-byte the legacy single-gateway path.
+        # shards=1 must be byte-for-byte the single-gateway deployment.
+        for name, (kwargs, sha256) in SINGLE_GATEWAY_SHA256.items():
+            report = run_fresh(LoadGenSpec(**kwargs))
+            assert report.ledger.canonical_sha256() == sha256, name
+            assert report.per_shard == (), name
+
+    def test_pinned_specs_reach_their_paths(self):
+        shed = run_fresh(LoadGenSpec(**SINGLE_GATEWAY_SHA256["downloads-open-queue-full"][0]))
+        assert shed.shed_by_reason.get("queue-full", 0) > 0
+        limited = run_fresh(LoadGenSpec(**SINGLE_GATEWAY_SHA256["university-rate-limited"][0]))
+        assert limited.shed_by_reason.get("ratelimit", 0) > 0
+
+    def test_one_shard_cluster_stats_are_the_clusters_own(self):
         spec = flash_spec(workload="university", shards=1, max_requests=200)
-        legacy = run_fresh(spec)
         reset_object_ids()
         outcome = run_shard_serve(spec, 0)
-        assert (
-            outcome.ledger.canonical_sha256() == legacy.ledger.canonical_sha256()
+        report = run_fresh(spec)
+        assert report.cluster.rejected > 0
+        assert report.cluster == outcome.cluster
+
+
+class TestMergedClusterMeans:
+    def test_means_are_per_attempt_across_shards(self):
+        spec = flash_spec(
+            nodes=4, node_capacity_gib=0.25, shards=2, max_requests=400
         )
-        assert dict(outcome.responses_by_status) == dict(
-            legacy.responses_by_status
-        )
+        outcomes = []
+        for shard in range(2):
+            reset_object_ids()
+            outcomes.append(run_shard_serve(spec, shard))
+        assert all(o.cluster.rejected > 0 for o in outcomes)
+        report = run_fresh(spec)
+        attempts = sum(o.cluster.placed + o.cluster.rejected for o in outcomes)
+        rounds = sum(o.cluster.rounds_total for o in outcomes)
+        probes = sum(o.cluster.probes_total for o in outcomes)
+        assert report.cluster.mean_rounds == rounds / attempts
+        assert report.cluster.mean_probes == probes / attempts
 
 
 class TestMergedRun:

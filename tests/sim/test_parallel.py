@@ -1,9 +1,14 @@
 """Unit tests for the run-spec API and the parallel sweep executor."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.sim.parallel import (
     ObsOptions,
@@ -100,41 +105,6 @@ class TestSeedFor:
         for replica in range(1, 20):
             value = seed_for(RunSpec("fig6", seed=42, replica=replica))
             assert 0 <= value < 2**63
-
-
-class TestFromKwargs:
-    def test_warns_and_maps_fields(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            spec = RunSpec.from_kwargs("fig6", horizon_days=30, seed=9, capacity_gib=40)
-        assert spec == RunSpec(
-            "fig6", params={"capacity_gib": 40}, seed=9, horizon_days=30.0
-        )
-
-    def test_defaults_left_untouched_when_not_passed(self):
-        with pytest.warns(DeprecationWarning):
-            spec = RunSpec.from_kwargs("fig6")
-        assert spec.seed == 42
-        assert spec.horizon_days is None
-
-
-class TestDeprecatedRunShims:
-    """Old ``run(**kwargs)`` signatures keep working, with a warning."""
-
-    def test_fig8_run_warns_and_matches_execute(self):
-        from repro.experiments import fig8_downloads as mod
-
-        with pytest.warns(DeprecationWarning):
-            legacy = mod.run()
-        fresh = mod.execute(RunSpec("fig8", seed=0))
-        assert legacy == fresh  # module default seed (0) survives the shim
-
-    def test_fig2_run_warns_and_matches_execute(self):
-        from repro.experiments import fig2_storage_requirements as mod
-
-        with pytest.warns(DeprecationWarning):
-            legacy = mod.run(horizon_days=20.0, seed=3)
-        fresh = mod.execute(RunSpec("fig2", seed=3, horizon_days=20.0))
-        assert legacy == fresh
 
 
 class TestExpandSweep:
@@ -240,3 +210,34 @@ class TestRunSpecs:
         assert [o.ok for o in pooled] == [True, False, True]
         assert [o.rendered for o in pooled] == [o.rendered for o in inline]
         assert pooled[1].error.exc_type == "ReproError"
+
+
+class TestBrokenPool:
+    def test_unguarded_script_is_told_about_the_main_guard(self, tmp_path):
+        # Spawn workers re-import the main module; without a guard each
+        # one re-runs the script, dies starting its own pool, and the
+        # parent sees BrokenProcessPool.  The error must say why.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro.serve.loadgen import LoadGenSpec, run_loadgen\n"
+            "spec = LoadGenSpec(shards=2, nodes=2, horizon_days=5.0, "
+            "scale=0.005, max_requests=20)\n"
+            "run_loadgen(spec, jobs=2)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        last = proc.stderr.strip().splitlines()[-1]
+        assert "BrokenProcessPool" in last
+        assert 'if __name__ == "__main__":' in last
